@@ -1,32 +1,19 @@
-// Join sweep — batched join-wave throughput vs the scalar join path,
-// with the per-stage wall-clock breakdown of the wave microkernels,
-// emitted to BENCH_join.json.
+// Join sweep — scalar facade join throughput with the selector's
+// map-fetch vs ranking split, emitted to BENCH_join.json.
 //
-// Three legs per overlay size n, all over the same host sequence and the
-// same SystemConfig seed, so they must land in the same final state (the
-// bench asserts it and exits non-zero on any divergence):
-//   batch     — join_many over waves of JOIN_BATCH joiners: bulk landmark
-//               measurement (one engine walk per landmark), bulk Hilbert
-//               encode, cached-number publishes, indexed pub/sub fan-out;
-//   scalar    — one join() per node on the current fast paths;
-//   reference — one join() per node with the seed-era cost model: the
-//               reference router re-derives cell coordinates per hop and
-//               the reference pub/sub matcher scans the whole
-//               subscription table per publish. This is the honest
-//               "pre-batching scalar path" the speedup is measured
-//               against (same twin discipline as scale_sweep).
+// One leg per overlay size n: join() per node over a seeded host
+// sequence, with the selector's stage timing on for the whole leg. The
+// leg also reports the deterministic state the joins leave behind (map
+// entries, subscriptions, notifications, route hops, probes), which the
+// same seed reproduces exactly on any machine.
 //
 // Knobs (also see common.hpp for SEED / FULL / THREADS / RTT_ENGINE):
 //   JOIN_NODES=a,b,..   overlay sizes (default "1000,10000")
-//   JOIN_BATCH=n        joiners per join_many wave (default 256)
-//   JOIN_REFERENCE=0|1  reference leg (default on for sizes <= 10000 —
-//                       the full-table matcher scan is quadratic-ish and
-//                       that is rather the point)
 //   BENCH_JSON=path     output path (default BENCH_join.json)
 #include <chrono>
-#include <cstdlib>
 #include <fstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common.hpp"
@@ -57,49 +44,21 @@ struct LegResult {
   std::size_t nodes = 0;
   std::size_t map_entries = 0;
   std::size_t subscriptions = 0;
-  std::uint64_t joins = 0;
-  std::uint64_t publishes = 0;
-  std::uint64_t map_route_hops = 0;
   std::uint64_t notifications = 0;
-  std::uint64_t pubsub_route_hops = 0;
-  std::uint64_t predicate_evaluations = 0;
+  std::uint64_t route_hops = 0;  // map + pub/sub messages
   std::uint64_t probes = 0;
+  core::SelectorStageTiming stages;
 
   double per_s() const {
     return join_s > 0.0 ? static_cast<double>(nodes) / join_s : 0.0;
   }
-  /// Everything a join moves, for the cross-leg equivalence check.
-  bool same_state(const LegResult& other) const {
-    return nodes == other.nodes && map_entries == other.map_entries &&
-           subscriptions == other.subscriptions && joins == other.joins &&
-           publishes == other.publishes &&
-           map_route_hops == other.map_route_hops &&
-           notifications == other.notifications &&
-           pubsub_route_hops == other.pubsub_route_hops &&
-           predicate_evaluations == other.predicate_evaluations &&
-           probes == other.probes;
-  }
 };
 
-void capture_state(core::SoftStateOverlay& system, LegResult& leg) {
-  leg.nodes = system.ecan().size();
-  leg.map_entries = system.maps().total_entries();
-  leg.subscriptions = system.pubsub().active_subscriptions();
-  leg.joins = system.stats().joins;
-  leg.publishes = system.maps().stats().publishes;
-  leg.map_route_hops = system.maps().stats().route_hops;
-  leg.notifications = system.pubsub().stats().notifications;
-  leg.pubsub_route_hops = system.pubsub().stats().route_hops;
-  leg.predicate_evaluations = system.pubsub().stats().predicate_evaluations;
-  leg.probes = system.oracle().probe_count();
-}
-
-core::SystemConfig sweep_config(std::uint64_t seed, bool reference) {
+core::SystemConfig sweep_config(std::uint64_t seed) {
   core::SystemConfig config;
   config.landmark_count = 15;
   config.landmark.scale_ms = 80.0;  // manual latency regime
   config.seed = seed;
-  config.map.use_reference_router = reference;
   return config;
 }
 
@@ -114,69 +73,52 @@ std::vector<net::HostId> host_sequence(const net::Topology& topology,
   return hosts;
 }
 
-struct SweepRow {
-  std::size_t n = 0;
-  std::size_t batch_size = 0;
-  core::JoinWaveStats stages;  // summed over the waves
-  LegResult batch;
-  LegResult scalar;
-  LegResult reference;  // nodes == 0 when skipped
-  bool equivalent = true;
-
-  bool compared() const { return reference.nodes != 0; }
-  double batch_vs_scalar() const {
-    return batch.join_s > 0.0 ? scalar.join_s / batch.join_s : 0.0;
-  }
-  double speedup() const {
-    return batch.join_s > 0.0 ? reference.join_s / batch.join_s : 0.0;
-  }
-};
+LegResult run_scalar(const net::Topology& topology, std::uint64_t seed,
+                     const std::vector<net::HostId>& hosts) {
+  core::SoftStateOverlay system(topology, sweep_config(seed));
+  system.selector().set_stage_timing(true);
+  const auto start = std::chrono::steady_clock::now();
+  for (const net::HostId host : hosts) system.join(host);
+  LegResult leg;
+  leg.join_s = std::chrono::duration<double>(
+                   std::chrono::steady_clock::now() - start)
+                   .count();
+  leg.stages = system.selector().stage_timing();
+  leg.nodes = system.ecan().size();
+  leg.map_entries = system.maps().total_entries();
+  leg.subscriptions = system.pubsub().active_subscriptions();
+  leg.notifications = system.pubsub().stats().notifications;
+  leg.route_hops = system.maps().stats().route_hops +
+                   system.pubsub().stats().route_hops;
+  leg.probes = system.oracle().probe_count();
+  return leg;
+}
 
 void write_json(const std::string& path, const net::Topology& topology,
-                std::size_t batch, const std::vector<SweepRow>& rows) {
+                const std::vector<std::pair<std::size_t, LegResult>>& rows) {
   std::ofstream out(path);
   if (!out) {
     std::fprintf(stderr, "could not write %s\n", path.c_str());
     return;
   }
-  auto emit_leg = [&](const LegResult& leg) {
-    out << "{\"join_s\": " << leg.join_s << ", \"join_per_s\": "
-        << leg.per_s() << ", \"map_entries\": " << leg.map_entries
-        << ", \"subscriptions\": " << leg.subscriptions
-        << ", \"notifications\": " << leg.notifications
-        << ", \"route_hops\": "
-        << leg.map_route_hops + leg.pubsub_route_hops
-        << ", \"probes\": " << leg.probes << "}";
-  };
   out << "{\n"
       << "  \"bench\": \"join_sweep\",\n"
       << "  \"seed\": " << bench::bench_seed() << ",\n"
       << "  \"host_count\": " << topology.host_count() << ",\n"
-      << "  \"batch\": " << batch << ",\n"
       << "  \"results\": [\n";
   for (std::size_t i = 0; i < rows.size(); ++i) {
-    const SweepRow& row = rows[i];
-    const core::JoinWaveStats& s = row.stages;
-    out << "    {\"n\": " << row.n << ",\n     \"stages_ms\": {"
-        << "\"probe\": " << s.probe_ms << ", \"encode\": " << s.encode_ms
-        << ", \"split\": " << s.split_ms << ", \"publish\": " << s.publish_ms
-        << ", \"select\": " << s.select_ms
-        << ", \"map_fetch\": " << s.map_fetch_ms
-        << ", \"rank\": " << s.rank_ms
-        << ", \"subscribe\": " << s.subscribe_ms << "},\n"
-        << "     \"bulk_measured\": " << (s.bulk_measured ? "true" : "false")
-        << ",\n     \"batch\": ";
-    emit_leg(row.batch);
-    out << ",\n     \"scalar\": ";
-    emit_leg(row.scalar);
-    out << ",\n     \"batch_vs_scalar\": " << row.batch_vs_scalar();
-    if (row.compared()) {
-      out << ",\n     \"reference\": ";
-      emit_leg(row.reference);
-      out << ",\n     \"join_throughput_speedup\": " << row.speedup();
-    }
-    out << ",\n     \"equivalent\": " << (row.equivalent ? "true" : "false")
-        << "}" << (i + 1 < rows.size() ? "," : "") << "\n";
+    const auto& [n, leg] = rows[i];
+    out << "    {\"n\": " << n << ",\n     \"stages_ms\": {"
+        << "\"map_fetch\": " << leg.stages.map_fetch_ms
+        << ", \"rank\": " << leg.stages.rank_ms << "},\n"
+        << "     \"scalar\": {\"join_s\": " << leg.join_s
+        << ", \"join_per_s\": " << leg.per_s()
+        << ", \"map_entries\": " << leg.map_entries
+        << ", \"subscriptions\": " << leg.subscriptions
+        << ", \"notifications\": " << leg.notifications
+        << ", \"route_hops\": " << leg.route_hops
+        << ", \"probes\": " << leg.probes << "}}"
+        << (i + 1 < rows.size() ? "," : "") << "\n";
   }
   out << "  ]\n}\n";
   std::printf("wrote %s\n", path.c_str());
@@ -185,13 +127,11 @@ void write_json(const std::string& path, const net::Topology& topology,
 }  // namespace
 
 int main() {
-  const auto bench_timer = bench::print_preamble(
-      "Join sweep: batched join waves vs scalar joins");
+  const auto bench_timer =
+      bench::print_preamble("Join sweep: scalar facade joins");
 
   const std::uint64_t seed = bench::bench_seed();
   const auto counts = node_counts();
-  const auto batch = static_cast<std::size_t>(
-      util::env_int("JOIN_BATCH", 256));
 
   // The facade builds its own oracle per system, so the topology is the
   // only shared piece; the hierarchical engine makes RTT queries O(1) and
@@ -201,93 +141,31 @@ int main() {
       net::generate_transit_stub(net::tsk_large(), topo_rng);
   net::assign_latencies(topology, net::LatencyModel::kManual, topo_rng);
 
-  std::vector<SweepRow> rows;
-  util::Table table({"n", "batch joins/s", "scalar joins/s", "ref joins/s",
-                     "vs scalar", "vs reference", "equivalent"});
-  bool all_equivalent = true;
-
+  std::vector<std::pair<std::size_t, LegResult>> rows;
+  util::Table table({"n", "joins/s", "map fetch ms", "rank ms",
+                     "notifications", "route hops", "probes"});
   for (const std::size_t n : counts) {
-    SweepRow row;
-    row.n = n;
-    row.batch_size = batch;
     const auto hosts = host_sequence(topology, seed + 11 * n, n);
-    const bool run_reference =
-        util::env_bool("JOIN_REFERENCE", n <= 10'000);
-
-    {
-      core::SoftStateOverlay system(topology, sweep_config(seed, false));
-      const auto start = std::chrono::steady_clock::now();
-      for (std::size_t base = 0; base < hosts.size(); base += batch) {
-        const std::size_t size = std::min(batch, hosts.size() - base);
-        core::JoinWaveStats wave;
-        system.join_many({hosts.data() + base, size}, &wave);
-        row.stages.wave_size += wave.wave_size;
-        row.stages.bulk_measured = wave.bulk_measured;
-        row.stages.probe_ms += wave.probe_ms;
-        row.stages.encode_ms += wave.encode_ms;
-        row.stages.split_ms += wave.split_ms;
-        row.stages.publish_ms += wave.publish_ms;
-        row.stages.select_ms += wave.select_ms;
-        row.stages.map_fetch_ms += wave.map_fetch_ms;
-        row.stages.rank_ms += wave.rank_ms;
-        row.stages.subscribe_ms += wave.subscribe_ms;
-      }
-      row.batch.join_s =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                        start)
-              .count();
-      capture_state(system, row.batch);
-    }
-    {
-      core::SoftStateOverlay system(topology, sweep_config(seed, false));
-      const auto start = std::chrono::steady_clock::now();
-      for (const net::HostId host : hosts) system.join(host);
-      row.scalar.join_s =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                        start)
-              .count();
-      capture_state(system, row.scalar);
-    }
-    if (run_reference) {
-      core::SoftStateOverlay system(topology, sweep_config(seed, true));
-      system.pubsub().set_reference_matcher(true);
-      const auto start = std::chrono::steady_clock::now();
-      for (const net::HostId host : hosts) system.join(host);
-      row.reference.join_s =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                        start)
-              .count();
-      capture_state(system, row.reference);
-    }
-
-    row.equivalent = row.batch.same_state(row.scalar) &&
-                     (!row.compared() || row.batch.same_state(row.reference));
-    all_equivalent = all_equivalent && row.equivalent;
-
-    table.add_row(
-        {util::Table::integer(static_cast<long long>(n)),
-         util::Table::num(row.batch.per_s(), 0),
-         util::Table::num(row.scalar.per_s(), 0),
-         row.compared() ? util::Table::num(row.reference.per_s(), 0) : "-",
-         util::Table::num(row.batch_vs_scalar(), 2) + "x",
-         row.compared() ? util::Table::num(row.speedup(), 2) + "x" : "-",
-         row.equivalent ? "ok" : "DIVERGED"});
-    rows.push_back(std::move(row));
+    const LegResult leg = run_scalar(topology, seed, hosts);
+    table.add_row({util::Table::integer(static_cast<long long>(n)),
+                   util::Table::num(leg.per_s(), 0),
+                   util::Table::num(leg.stages.map_fetch_ms, 1),
+                   util::Table::num(leg.stages.rank_ms, 1),
+                   util::Table::integer(
+                       static_cast<long long>(leg.notifications)),
+                   util::Table::integer(
+                       static_cast<long long>(leg.route_hops)),
+                   util::Table::integer(static_cast<long long>(leg.probes))});
+    rows.emplace_back(n, leg);
   }
   std::cout << table.to_string();
 
   write_json(util::env_string("BENCH_JSON", "BENCH_join.json"), topology,
-             batch, rows);
+             rows);
 
-  std::cout << "\nReading: all three legs replay the same join sequence and\n"
-               "must report identical state (maps, subscriptions, hops,\n"
-               "probes) — 'equivalent' says they did. The speedup column\n"
-               "is batch vs the seed-era reference cost model; batch vs\n"
-               "scalar isolates the wave microkernels alone.\n";
-
-  if (!all_equivalent) {
-    std::fprintf(stderr, "\nFAIL: batched join diverged from scalar state\n");
-    return 1;
-  }
+  std::cout << "\nReading: joins/s is wall-clock; map fetch vs rank splits\n"
+               "the selector's time between consulting the maps and\n"
+               "ranking + RTT-probing candidates. The state columns are\n"
+               "simulated and reproduce exactly for a given SEED.\n";
   return 0;
 }

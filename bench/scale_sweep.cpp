@@ -11,7 +11,7 @@
 // is bit-identical to the classic two-pass build with the same seed.
 //
 // Each size n then builds one eCAN (join phase, landmark vectors,
-// expressway tables) and reuses it across four legs:
+// expressway tables) and reuses it across three legs:
 //
 //   indexed   — the production soft-state path: publish round, lookup
 //               batch, idle + full expiry sweeps, with invariants checked
@@ -20,8 +20,6 @@
 //   memory    — a publish-only trial on the *other* store, so the JSON
 //               carries both footprints and their ratio (the memory-diet
 //               before/after claim: >= 4x at 100k nodes).
-//   reference — the seed-era linear store + reference router (sizes
-//               <= 10000; quadratic-ish, which is rather the point).
 //   sharded   — the same publish/lookup/expire workload through
 //               ShardedMapRunner at each SCALE_SHARDS count; every leg's
 //               store digest must equal the sequential leg's digest
@@ -38,8 +36,6 @@
 //                       pool (default off; lossy — see MapConfig)
 //   SCALE_SHARDS=a,b,.. sharded-runner leg shard counts (default
 //                       "1,2,4,8"; empty string disables the leg)
-//   SCALE_COMPARE=0|1   seed-vs-indexed comparison (default on, sizes
-//                       <= 10000 only)
 //   SCALE_MEMORY_COMPARE_MAX=n  largest size that runs the memory leg's
 //                       other-store publish (default 200000)
 //   SCALE_BATCH_STUBS=n streamed-build batch size (default 256)
@@ -81,7 +77,7 @@ constexpr double kLookupTime = 1000.0;
 constexpr double kExpireAllTime = 60'000.0 + 1.0;
 
 /// The overlay half of a size-n trial, built once and shared by every
-/// soft-state leg (indexed, memory-comparison, seed-reference, sharded):
+/// soft-state leg (indexed, memory-comparison, sharded):
 /// the joined eCAN, per-node landmark vectors and numbers, built tables,
 /// and the precomputed lookup workload. Rebuilding this per leg would
 /// dominate the sweep at large n without measuring anything new.
@@ -123,8 +119,8 @@ Prepared prepare_overlay(bench::World& world, std::size_t n,
 
   // Dense by node id (fresh networks assign 0..n-1): the harness must not
   // add hash-map noise of its own to the phases it is timing. The landmark
-  // number is derived exactly once here; seed-era nodes recomputed it
-  // inside every publish and lookup (the reference leg uses that API).
+  // number is derived exactly once here, as a node does when it measures
+  // its landmark vector.
   prep.vectors.resize(n);
   prep.numbers.resize(n);
   for (const auto id : prep.nodes) {
@@ -139,8 +135,7 @@ Prepared prepare_overlay(bench::World& world, std::size_t n,
   prep.tables_s = timer.lap();
 
   // The lookup workload, precomputed so the sharded leg can reference the
-  // cell buffers across a round. Draw-for-draw the same sequence the
-  // seed-era bench produced inline (a querier whose zone is coarser than
+  // cell buffers across a round (a querier whose zone is coarser than
   // level 1 consumes one draw and is skipped).
   util::Rng query_rng(seed + 2);
   prep.queries.reserve(queries);
@@ -182,11 +177,10 @@ struct TrialResult {
 
 /// The soft-state phases over a prepared overlay. Templated over the map
 /// service so the identical driver runs the compact production path
-/// (CompactMapService), the full store (MapService) and the seed-reference
-/// path (LegacyLinearMapService, reference router).
+/// (CompactMapService) and the full store (MapService).
 template <typename Service>
 TrialResult run_phases(bench::World& world, Prepared& prep,
-                       softstate::MapConfig map_config, bool reference_router,
+                       softstate::MapConfig map_config,
                        bool check_invariants) {
   TrialResult r;
   r.n = prep.nodes.size();
@@ -196,29 +190,16 @@ TrialResult run_phases(bench::World& world, Prepared& prep,
   overlay::EcanNetwork& ecan = *prep.ecan;
   PhaseTimer timer;
 
-  map_config.use_reference_router = reference_router;
   Service maps(ecan, *world.landmarks, map_config);
-  if (reference_router) {
-    for (const auto id : prep.nodes)
-      maps.publish(id, prep.vectors[id], 0.0);
-  } else {
-    for (const auto id : prep.nodes)
-      maps.publish(id, prep.vectors[id], prep.numbers[id], 0.0);
-  }
+  for (const auto id : prep.nodes)
+    maps.publish(id, prep.vectors[id], prep.numbers[id], 0.0);
   r.publish_s = timer.lap();
 
   std::vector<softstate::MapEntry> lookup_buffer;
   for (const Prepared::Query& q : prep.queries) {
-    if (reference_router) {
-      r.candidates_returned +=
-          maps.lookup_entries(q.querier, prep.vectors[q.querier], q.level,
-                              q.cell, kLookupTime)
-              .size();
-    } else {
-      r.candidates_returned += maps.lookup_entries_into(
-          q.querier, prep.vectors[q.querier], prep.numbers[q.querier],
-          q.level, q.cell, kLookupTime, lookup_buffer);
-    }
+    r.candidates_returned += maps.lookup_entries_into(
+        q.querier, prep.vectors[q.querier], prep.numbers[q.querier], q.level,
+        q.cell, kLookupTime, lookup_buffer);
     ++r.lookups;
   }
   r.lookup_s = timer.lap();
@@ -235,9 +216,8 @@ TrialResult run_phases(bench::World& world, Prepared& prep,
     r.invariants_ok = prep.overlay_ok && maps.check_placement_invariant();
   timer.lap();  // exclude the checks from the expiry laps
 
-  // Idle expiry: nothing has expired yet, so the indexed store answers
-  // from the top of its expiry heap while the linear store rescans every
-  // entry — the difference is the point of the expiry min-structure.
+  // Idle expiry: nothing has expired yet, so the store answers from the
+  // front of its expiry order instead of rescanning every entry.
   for (int sweep = 0; sweep < kIdleExpirySweeps; ++sweep)
     maps.expire_before(30'000.0);
   r.expire_idle_s = timer.lap();
@@ -341,7 +321,6 @@ std::vector<std::size_t> node_counts() {
 
 struct SweepRow {
   TrialResult indexed;
-  TrialResult reference;  // n == 0 when the comparison was skipped
   std::vector<ShardResult> sharded;
   double prepare_rss_join_s = 0.0;
   std::size_t prepare_rss = 0;
@@ -349,7 +328,6 @@ struct SweepRow {
   std::size_t overlay_bytes = 0;
   std::size_t full_softstate_bytes = 0;     // 0 when the memory leg was skipped
   std::size_t compact_softstate_bytes = 0;  // ditto
-  bool compared() const { return reference.n != 0; }
   bool sharded_ok() const {
     for (const ShardResult& sr : sharded)
       if (!sr.identical) return false;
@@ -361,11 +339,6 @@ struct SweepRow {
                ? static_cast<double>(full_softstate_bytes) /
                      static_cast<double>(compact_softstate_bytes)
                : 0.0;
-  }
-  double speedup() const {
-    const double indexed_s = indexed.publish_s + indexed.lookup_s;
-    const double reference_s = reference.publish_s + reference.lookup_s;
-    return indexed_s > 0.0 ? reference_s / indexed_s : 0.0;
   }
 };
 
@@ -418,11 +391,6 @@ void write_json(const std::string& path, const bench::World& world,
     const std::size_t n = row.indexed.n;
     out << "    {\"n\": " << n << ",\n     \"indexed\": ";
     emit_trial(row.indexed);
-    if (row.compared()) {
-      out << ",\n     \"seed_reference\": ";
-      emit_trial(row.reference);
-      out << ",\n     \"publish_lookup_speedup\": " << row.speedup();
-    }
     out << ",\n     \"memory\": {\"overlay_bytes\": " << row.overlay_bytes
         << ", \"softstate_bytes\": " << row.indexed.softstate_bytes
         << ", \"softstate_bytes_per_node\": "
@@ -465,7 +433,6 @@ int main() {
 
   const std::uint64_t seed = bench::bench_seed();
   const auto counts = node_counts();
-  const bool compare = util::env_bool("SCALE_COMPARE", true);
   const bool compact_store = util::env_bool("SCALE_COMPACT", true);
   const bool quantize = util::env_bool("SCALE_QUANTIZE", false);
   const auto shard_counts =
@@ -501,25 +468,20 @@ int main() {
       static_cast<double>(world.engine_table_bytes) / (1024.0 * 1024.0),
       static_cast<double>(world.topology.memory_bytes()) / (1024.0 * 1024.0));
 
-  // Warm the allocator and page cache with a small discarded trial per
-  // service so no measured trial pays one-off process start-up costs (the
-  // first trial in a cold process otherwise reads ~30% slow).
+  // Warm the allocator and page cache with a small discarded trial so no
+  // measured trial pays one-off process start-up costs (the first trial in
+  // a cold process otherwise reads ~30% slow).
   {
     Prepared warm = prepare_overlay(world, 512, 512, seed + 1,
                                     /*check_invariants=*/false,
                                     map_config.scalable_router);
     (void)run_phases<softstate::CompactMapService>(
-        world, warm, map_config, /*reference_router=*/false,
-        /*check_invariants=*/false);
-    (void)run_phases<softstate::LegacyLinearMapService>(
-        world, warm, map_config, /*reference_router=*/true,
-        /*check_invariants=*/false);
+        world, warm, map_config, /*check_invariants=*/false);
   }
 
   std::vector<SweepRow> rows;
   util::Table table({"n", "join/s", "publish/s", "lookup/s", "ss KiB/node",
-                     "mem ratio", "shards", "rss MiB", "speedup",
-                     "invariants"});
+                     "mem ratio", "shards", "rss MiB", "invariants"});
   bool all_ok = true;
   for (const std::size_t n : counts) {
     const auto queries = static_cast<std::size_t>(util::env_int(
@@ -535,12 +497,10 @@ int main() {
       bench::ScopedRssSampler rss(row.trial_rss);
       if (compact_store) {
         row.indexed = run_phases<softstate::CompactMapService>(
-            world, prep, map_config, /*reference_router=*/false,
-            /*check_invariants=*/true);
+            world, prep, map_config, /*check_invariants=*/true);
       } else {
         row.indexed = run_phases<softstate::MapService>(
-            world, prep, map_config, /*reference_router=*/false,
-            /*check_invariants=*/true);
+            world, prep, map_config, /*check_invariants=*/true);
       }
     }
     // Memory leg: the other store's steady-state footprint over the same
@@ -556,14 +516,6 @@ int main() {
             publish_only_bytes<softstate::CompactMapService>(world, prep,
                                                              map_config);
       }
-    }
-    // The linear reference store is the pre-indexed-store cost model;
-    // above 10k nodes its quadratic publish round stops being a
-    // comparison and becomes a wait, so the sweep skips it there.
-    if (compare && n <= 10'000) {
-      row.reference = run_phases<softstate::LegacyLinearMapService>(
-          world, prep, map_config, /*reference_router=*/true,
-          /*check_invariants=*/false);
     }
     // Sharded legs: same workload through the plan/apply runner; each
     // shard count must land the exact sequential store contents.
@@ -605,7 +557,6 @@ int main() {
          util::Table::num(static_cast<double>(row.peak_rss()) /
                               (1024.0 * 1024.0),
                           1),
-         row.compared() ? util::Table::num(row.speedup(), 2) + "x" : "-",
          row.indexed.invariants_ok ? "ok" : "VIOLATED"});
     rows.push_back(std::move(row));
   }
@@ -619,8 +570,6 @@ int main() {
                "with O(1) store work); 'mem ratio' is the full store's\n"
                "steady-state bytes over the compact store's on the same\n"
                "workload; 'shards' says whether every sharded leg's store\n"
-               "digest matched the sequential run bit for bit; the speedup\n"
-               "column is the indexed store + fast router against the\n"
-               "seed-era linear store on identical workloads.\n";
+               "digest matched the sequential run bit for bit.\n";
   return all_ok ? 0 : 1;
 }

@@ -1,19 +1,6 @@
 #include "core/soft_state_overlay.hpp"
 
-#include <chrono>
-
 namespace topo::core {
-
-namespace {
-
-using WaveClock = std::chrono::steady_clock;
-
-double wave_elapsed_ms(WaveClock::time_point since) {
-  return std::chrono::duration<double, std::milli>(WaveClock::now() - since)
-      .count();
-}
-
-}  // namespace
 
 SoftStateOverlay::SoftStateOverlay(const net::Topology& topology,
                                    SystemConfig config)
@@ -113,106 +100,6 @@ overlay::NodeId SoftStateOverlay::join(net::HostId host) {
   if (config_.auto_republish) schedule_republish(id);
   ++stats_.joins;
   return id;
-}
-
-std::vector<overlay::NodeId> SoftStateOverlay::join_many(
-    std::span<const net::HostId> hosts, JoinWaveStats* wave_stats) {
-  JoinWaveStats local_stats;
-  JoinWaveStats& ws = wave_stats != nullptr ? *wave_stats : local_stats;
-  ws = JoinWaveStats{};
-  ws.wave_size = hosts.size();
-  std::vector<overlay::NodeId> ids;
-  ids.reserve(hosts.size());
-  if (hosts.empty()) return ids;
-
-  // Stages 1-2, hoisted: landmark measurement and number derivation are
-  // pure (no overlay state, no facade RNG), so the whole wave's vectors
-  // and numbers can be produced by the bulk kernels up front. Measurement
-  // noise shares the oracle's noise stream with the selector's candidate
-  // probes, so hoisting would permute the draws relative to the scalar
-  // sequence — measure per node inside the loop instead (values then
-  // match N scalar joins draw for draw).
-  const bool bulk = oracle_.measurement_noise() == 0.0;
-  ws.bulk_measured = bulk;
-  wave_vectors_.resize(hosts.size());
-  wave_numbers_.resize(hosts.size());
-  if (bulk) {
-    const auto probe_start = WaveClock::now();
-    landmarks_.measure_many(oracle_, hosts, wave_vectors_, wave_column_);
-    ws.probe_ms = wave_elapsed_ms(probe_start);
-
-    const auto encode_start = WaveClock::now();
-    landmarks_.landmark_numbers(wave_vectors_, wave_coords_, wave_numbers_);
-    ws.encode_ms = wave_elapsed_ms(encode_start);
-  }
-
-  selector_->reset_stage_timing();
-  selector_->set_stage_timing(true);
-
-  // Per-node protocol, in wave order: exactly the scalar join() sequence
-  // (same operations, same order, same RNG draws), with the measured
-  // vector taken from the wave arena and the publish handed the wave's
-  // pre-derived landmark number (identical value, so identical routing
-  // and placement).
-  for (std::size_t i = 0; i < hosts.size(); ++i) {
-    const net::HostId host = hosts[i];
-    if (!bulk) {
-      const auto probe_start = WaveClock::now();
-      wave_vectors_[i] = landmarks_.measure(oracle_, host);
-      ws.probe_ms += wave_elapsed_ms(probe_start);
-    }
-    const proximity::LandmarkVector& vector = wave_vectors_[i];
-
-    const auto split_start = WaveClock::now();
-    overlay::NodeId split_peer = overlay::kInvalidNode;
-    const overlay::NodeId id = ecan_.join(
-        host, geom::Point::random(config_.dims, rng_), &split_peer);
-    vectors_[id] = vector;
-    if (split_peer != overlay::kInvalidNode) {
-      maps_->migrate_after_join(id, split_peer);
-      migrate_objects_after_split(id, split_peer);
-    }
-    ws.split_ms += wave_elapsed_ms(split_start);
-
-    const auto publish_start = WaveClock::now();
-    const double capacity =
-        capacities_.count(id) != 0 ? capacities_[id] : 1.0;
-    // Same probed load as the scalar join (node_load is a pure function
-    // of the probe / traffic state, so scalar ≡ batched state holds).
-    const double load = node_load(id);
-    if (bulk) {
-      maps_->publish(id, vector, wave_numbers_[i], events_.now(), load,
-                     capacity);
-    } else {
-      maps_->publish(id, vector, events_.now(), load, capacity);
-    }
-    ws.publish_ms += wave_elapsed_ms(publish_start);
-
-    const auto select_start = WaveClock::now();
-    ecan_.build_table(id, *selector_);
-    if (split_peer != overlay::kInvalidNode)
-      ecan_.build_table(split_peer, *selector_);
-    ws.select_ms += wave_elapsed_ms(select_start);
-
-    const auto subscribe_start = WaveClock::now();
-    if (config_.subscribe_on_join) {
-      subscribe_entries(id);
-      if (split_peer != overlay::kInvalidNode) {
-        unsubscribe_all(split_peer);
-        subscribe_entries(split_peer);
-      }
-    }
-    ws.subscribe_ms += wave_elapsed_ms(subscribe_start);
-
-    if (config_.auto_republish) schedule_republish(id);
-    ++stats_.joins;
-    ids.push_back(id);
-  }
-
-  selector_->set_stage_timing(false);
-  ws.map_fetch_ms = selector_->stage_timing().map_fetch_ms;
-  ws.rank_ms = selector_->stage_timing().rank_ms;
-  return ids;
 }
 
 void SoftStateOverlay::leave(overlay::NodeId id) {

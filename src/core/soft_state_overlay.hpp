@@ -20,7 +20,6 @@
 
 #include <memory>
 #include <optional>
-#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -100,25 +99,6 @@ struct SystemStats {
   std::uint64_t republishes = 0;
 };
 
-/// Per-stage wall-clock breakdown of one join_many wave. The probe and
-/// encode stages are the hoisted bulk microkernels; the remaining stages
-/// accumulate across the per-node protocol loop. map_fetch/rank come from
-/// the selector's stage timing (enabled for the duration of the wave).
-struct JoinWaveStats {
-  std::size_t wave_size = 0;
-  /// False when measurement noise forced the scalar per-node measurement
-  /// fallback (bulk probing would permute the oracle's noise draws).
-  bool bulk_measured = false;
-  double probe_ms = 0.0;      // landmark-vector measurement
-  double encode_ms = 0.0;     // bulk Hilbert encode of landmark numbers
-  double split_ms = 0.0;      // eCAN join, zone split, state migration
-  double publish_ms = 0.0;    // soft-state publishes
-  double select_ms = 0.0;     // table builds (includes fetch + rank below)
-  double map_fetch_ms = 0.0;  // selector: candidate fetch from the maps
-  double rank_ms = 0.0;       // selector: ranking + RTT probing
-  double subscribe_ms = 0.0;  // pub/sub subscriptions
-};
-
 class SoftStateOverlay {
  public:
   SoftStateOverlay(const net::Topology& topology, SystemConfig config);
@@ -130,21 +110,6 @@ class SoftStateOverlay {
 
   /// Full join protocol (steps 1-5 above). Returns the overlay node id.
   overlay::NodeId join(net::HostId host);
-
-  /// Batched join: processes a whole wave of joiners through the bulk
-  /// microkernels — one RTT-engine walk per landmark for the wave's
-  /// vectors (instead of one per host × landmark), one bulk Hilbert
-  /// encode for the wave's landmark numbers, and cached-number publishes
-  /// — then runs the per-node protocol (eCAN join, publish, selection,
-  /// subscription) in wave order. Only the pure stages are hoisted, so
-  /// the final overlay state (zones, tables, map contents, subscriptions,
-  /// stats) is identical to calling join(hosts[0]), join(hosts[1]), ...
-  /// in sequence. With measurement noise enabled the measurement stage
-  /// falls back to the scalar per-node loop to keep the oracle's noise
-  /// draws in scalar order. `wave_stats` (optional) receives the
-  /// per-stage wall-clock breakdown.
-  std::vector<overlay::NodeId> join_many(std::span<const net::HostId> hosts,
-                                         JoinWaveStats* wave_stats = nullptr);
 
   /// Graceful departure: proactive map update, watcher notification, state
   /// handoff, zone merge.
@@ -268,14 +233,6 @@ class SoftStateOverlay {
     std::string value;
   };
   std::unordered_map<overlay::NodeId, std::vector<StoredObject>> objects_;
-
-  /// Wave arenas for join_many: vectors, landmark numbers, quantized
-  /// coordinates, and the measurement column, all reused across waves so a
-  /// steady stream of join waves allocates nothing once warmed up.
-  std::vector<proximity::LandmarkVector> wave_vectors_;
-  std::vector<util::BigUint> wave_numbers_;
-  std::vector<std::uint32_t> wave_coords_;
-  std::vector<double> wave_column_;
 
   /// Moves objects to the current owner of their key (zone changes).
   void migrate_objects_from(overlay::NodeId node);

@@ -121,16 +121,6 @@ util::BigUint HilbertCurve::index(std::span<const std::uint32_t> coords,
   return index_in_place(x, limit);
 }
 
-void HilbertCurve::index_many(std::span<std::uint32_t> coords,
-                              std::span<util::BigUint> out) const {
-  const auto n = static_cast<std::size_t>(dims_);
-  TO_EXPECTS(coords.size() == out.size() * n);
-  const std::uint32_t limit =
-      bits_ >= 32 ? ~0u : ((1u << bits_) - 1);
-  for (std::size_t i = 0; i < out.size(); ++i)
-    out[i] = index_in_place(coords.subspan(i * n, n), limit);
-}
-
 std::vector<std::uint32_t> HilbertCurve::coords(
     const util::BigUint& index) const {
   std::vector<std::uint32_t> x(static_cast<std::size_t>(dims_), 0);

@@ -41,15 +41,6 @@ class HilbertCurve {
   util::BigUint index(std::span<const std::uint32_t> coords,
                       std::span<std::uint32_t> scratch) const;
 
-  /// Bulk encoder for join waves: `coords` holds coords.size()/dims
-  /// coordinate tuples back-to-back and is transposed *in place* (the
-  /// caller's arena doubles as the working buffer); tuple i's curve index
-  /// lands in out[i]. Range validation and the per-level masks are hoisted
-  /// out of the per-tuple loop, and nothing allocates, so encoding a wave
-  /// costs exactly the bit-twiddling.
-  void index_many(std::span<std::uint32_t> coords,
-                  std::span<util::BigUint> out) const;
-
   /// Inverse: cell coordinates of curve position `index`.
   std::vector<std::uint32_t> coords(const util::BigUint& index) const;
 

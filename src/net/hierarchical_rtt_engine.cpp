@@ -184,55 +184,4 @@ double HierarchicalRttEngine::latency_ms(HostId from, HostId to) {
   return best;
 }
 
-void HierarchicalRttEngine::latency_column(HostId to,
-                                           std::span<const HostId> froms,
-                                           std::span<double> out) {
-  TO_EXPECTS(out.size() >= froms.size());
-  const HostMeta& b = meta_[to];
-  // The `to` side of every expression below is loop-invariant; resolve it
-  // once. Each element then evaluates exactly latency_ms(from, to)'s
-  // expression for its case, so the answers are bit-identical to the
-  // scalar path.
-  const Stub* sb = b.stub >= 0 ? &stubs_[static_cast<std::size_t>(b.stub)]
-                               : nullptr;
-  const std::size_t gb = sb != nullptr ? sb->gateway_core.size() : 0;
-  const double* brow =
-      sb != nullptr ? sb->to_gateway.data() + b.local * gb : nullptr;
-  for (std::size_t i = 0; i < froms.size(); ++i) {
-    const HostId from = froms[i];
-    if (from == to) {
-      out[i] = 0.0;
-      continue;
-    }
-    const HostMeta& a = meta_[from];
-    if (a.core >= 0 && b.core >= 0) {
-      out[i] = core_at(a.core, b.core);
-      continue;
-    }
-    if (a.core >= 0) {
-      out[i] = core_to_interior(a.core, b);
-      continue;
-    }
-    if (b.core >= 0) {
-      out[i] = core_to_interior(b.core, a);
-      continue;
-    }
-    const Stub& sa = stubs_[static_cast<std::size_t>(a.stub)];
-    const std::size_t ga = sa.gateway_core.size();
-    const double* arow = sa.to_gateway.data() + a.local * ga;
-    double best = a.stub == b.stub
-                      ? sa.intra[a.local * sa.members.size() + b.local]
-                      : kInf;
-    for (std::size_t gi = 0; gi < ga; ++gi) {
-      for (std::size_t gj = 0; gj < gb; ++gj) {
-        best = std::min(best, arow[gi] +
-                                  core_at(sa.gateway_core[gi],
-                                          sb->gateway_core[gj]) +
-                                  brow[gj]);
-      }
-    }
-    out[i] = best;
-  }
-}
-
 }  // namespace topo::net

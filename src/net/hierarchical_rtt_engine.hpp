@@ -51,12 +51,6 @@ class HierarchicalRttEngine final : public RttEngine {
 
   double latency_ms(HostId from, HostId to) override;
 
-  /// Bulk column: resolves `to`'s stub/gateway state once and reuses it
-  /// for every source, preserving latency_ms's exact expressions (and thus
-  /// its bit-identical answers) per element.
-  void latency_column(HostId to, std::span<const HostId> froms,
-                      std::span<double> out) override;
-
   /// All pairs are precomputed; warming is a no-op.
   void warm(std::span<const HostId> sources,
             util::ThreadPool& pool) override {

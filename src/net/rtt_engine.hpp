@@ -63,21 +63,6 @@ class RttEngine {
   /// short-circuits self queries).
   virtual double latency_ms(HostId from, HostId to) = 0;
 
-  /// Column query: out[i] = latency from froms[i] to `to` (0 for self).
-  /// The default orients each query as latency_ms(to, from) — links are
-  /// undirected and path sums exact on the 2^-20 ms grid, so both
-  /// orientations return the identical double, and the source-cached
-  /// Dijkstra engine then serves a whole column from one row. The
-  /// hierarchical engine overrides this to hoist the `to`-side stub and
-  /// gateway state out of the loop (one engine walk per landmark instead
-  /// of one per (host, landmark) pair).
-  virtual void latency_column(HostId to, std::span<const HostId> froms,
-                              std::span<double> out) {
-    TO_EXPECTS(out.size() >= froms.size());
-    for (std::size_t i = 0; i < froms.size(); ++i)
-      out[i] = froms[i] == to ? 0.0 : latency_ms(to, froms[i]);
-  }
-
   /// Bulk precompute-and-pin hint for the given sources. The Dijkstra
   /// engine builds (and pins) their rows across `pool`; engines that are
   /// already fully precomputed treat this as a no-op.

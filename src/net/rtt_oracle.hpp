@@ -121,33 +121,6 @@ class RttOracle {
   }
   double measurement_noise() const { return noise_fraction_; }
 
-  /// Bulk measurement column for join waves: out[i] = probe_rtt(froms[i],
-  /// to), charged as froms.size() probes. Values and probe totals are
-  /// identical to the scalar loop (the engine's column query is exact and
-  /// orientation-independent); only the engine-internal walk order — and,
-  /// with measurement noise enabled, the noise draw order — differs, so
-  /// callers that need scalar-identical noise samples keep the scalar
-  /// loop.
-  void probe_rtt_many(std::span<const HostId> froms, HostId to,
-                      std::span<double> out) {
-    TO_EXPECTS(to < topology_->host_count());
-    TO_EXPECTS(out.size() >= froms.size());
-    probe_count_.fetch_add(froms.size(), std::memory_order_relaxed);
-    engine_->latency_column(to, froms, out);
-    if (traffic_ != nullptr && traffic_->active()) {
-      // Same queuing term as the scalar path, added before noise so bulk
-      // and scalar probes stay value-identical.
-      for (std::size_t i = 0; i < froms.size(); ++i)
-        if (froms[i] != to) out[i] += traffic_->queuing_delay_ms(froms[i], to);
-    }
-    if (noise_fraction_ > 0.0) {
-      std::lock_guard lock(noise_mutex_);
-      for (std::size_t i = 0; i < froms.size(); ++i)
-        out[i] *=
-            1.0 + noise_rng_.next_double(-noise_fraction_, noise_fraction_);
-    }
-  }
-
   /// Among `candidates`, the host with smallest latency from `from`,
   /// charged as one probe per candidate. Empty candidates -> kInvalidHost.
   HostId probe_nearest(HostId from, std::span<const HostId> candidates);

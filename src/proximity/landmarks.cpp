@@ -88,21 +88,6 @@ LandmarkVector LandmarkSet::measure(net::RttOracle& oracle,
   return vector;
 }
 
-void LandmarkSet::measure_many(net::RttOracle& oracle,
-                               std::span<const net::HostId> hosts,
-                               std::span<LandmarkVector> out,
-                               std::vector<double>& column_arena) const {
-  TO_EXPECTS(out.size() >= hosts.size());
-  const std::size_t m = hosts_.size();
-  for (std::size_t i = 0; i < hosts.size(); ++i) out[i].resize(m);
-  column_arena.resize(hosts.size());
-  for (std::size_t l = 0; l < m; ++l) {
-    oracle.probe_rtt_many(hosts, hosts_[l], column_arena);
-    for (std::size_t i = 0; i < hosts.size(); ++i)
-      out[i][l] = column_arena[i];
-  }
-}
-
 std::vector<int> LandmarkSet::ordering(const LandmarkVector& vector) const {
   TO_EXPECTS(vector.size() == hosts_.size());
   std::vector<int> order(vector.size());
@@ -144,18 +129,6 @@ util::BigUint LandmarkSet::landmark_number(
   // Aliased call: the quantized coords double as the encoder's working
   // buffer, so the whole derivation is allocation-free.
   return curve_.index(coords, coords);
-}
-
-void LandmarkSet::landmark_numbers(std::span<const LandmarkVector> vectors,
-                                   std::vector<std::uint32_t>& coords_arena,
-                                   std::span<util::BigUint> out) const {
-  TO_EXPECTS(out.size() >= vectors.size());
-  const auto dims = static_cast<std::size_t>(curve_.dims());
-  coords_arena.resize(vectors.size() * dims);
-  for (std::size_t i = 0; i < vectors.size(); ++i)
-    quantize_into(vectors[i],
-                  std::span(coords_arena).subspan(i * dims, dims));
-  curve_.index_many(coords_arena, out.first(vectors.size()));
 }
 
 double LandmarkSet::unit_number(const LandmarkVector& vector) const {

@@ -76,19 +76,6 @@ class LandmarkSet {
   /// separate from the candidate-probe budget).
   LandmarkVector measure(net::RttOracle& oracle, net::HostId host) const;
 
-  /// Bulk measurement for a join wave: probes landmark-major, so the
-  /// oracle's engine walks its per-landmark state once per landmark
-  /// instead of once per (host, landmark) pair. `out[i]` receives
-  /// hosts[i]'s vector (each element is resized in place, reusing its
-  /// heap buffer); `column_arena` is the caller-owned scratch column.
-  /// Probe counts and values match per-host measure() calls exactly —
-  /// callers needing scalar-identical measurement-noise draws must keep
-  /// the scalar loop (the facade's join_many does).
-  void measure_many(net::RttOracle& oracle,
-                    std::span<const net::HostId> hosts,
-                    std::span<LandmarkVector> out,
-                    std::vector<double>& column_arena) const;
-
   /// Landmarks sorted by increasing RTT: the landmark ordering.
   std::vector<int> ordering(const LandmarkVector& vector) const;
 
@@ -103,22 +90,8 @@ class LandmarkSet {
 
   /// Grid dimensionality of the landmark-number curve (min(m,
   /// vector_index_size) when the index optimization is on, m otherwise) —
-  /// the per-tuple width of the bulk-encode arenas below.
+  /// the minimum scratch size of the allocation-free landmark_number.
   int number_dims() const { return curve_.dims(); }
-
-  /// Quantizes `vector`'s leading number_dims() components onto the
-  /// landmark-space grid.
-  void quantize_into(const LandmarkVector& vector,
-                     std::span<std::uint32_t> out) const;
-
-  /// Bulk encode for a join wave: quantizes every vector into
-  /// `coords_arena` (resized to vectors.size() * number_dims()) and
-  /// Hilbert-encodes the whole wave through HilbertCurve::index_many.
-  /// out[i] == landmark_number(vectors[i]), with zero per-node
-  /// allocations once the arena has warmed up.
-  void landmark_numbers(std::span<const LandmarkVector> vectors,
-                        std::vector<std::uint32_t>& coords_arena,
-                        std::span<util::BigUint> out) const;
 
   /// Total bits of a landmark number.
   int number_bits() const { return curve_.index_bits(); }
@@ -127,6 +100,11 @@ class LandmarkSet {
   double unit_number(const LandmarkVector& vector) const;
 
  private:
+  /// Quantizes `vector`'s leading number_dims() components onto the
+  /// landmark-space grid.
+  void quantize_into(const LandmarkVector& vector,
+                     std::span<std::uint32_t> out) const;
+
   std::vector<net::HostId> hosts_;
   LandmarkConfig config_;
   geom::HilbertCurve curve_;

@@ -137,9 +137,8 @@ class PubSubService {
   /// Match each publish by scanning the whole subscription table (the
   /// seed-era cost model) instead of the per-map index. Delivery order and
   /// every notification are identical either way — ascending subscription
-  /// id — so this knob exists for the matcher-equivalence tests and the
-  /// join bench's scalar-reference mode, exactly like
-  /// MapConfig::use_reference_router.
+  /// id — so this knob exists only as the oracle of the
+  /// matcher-equivalence tests.
   void set_reference_matcher(bool on) { reference_matcher_ = on; }
   bool reference_matcher() const { return reference_matcher_; }
 

@@ -11,8 +11,7 @@
 //
 // Fault classes modelled:
 //   * per-message loss — every message is dropped with a configurable
-//     probability (plus an extra publish-only probability, the legacy
-//     MapService::inject_faults knob folded in here);
+//     probability (plus an extra publish-only probability);
 //   * per-stub extra delay — a seeded fraction of stub domains is marked
 //     "slow"; messages touching a slow stub (and optionally all messages)
 //     carry extra one-way delay, surfaced to the retry/backoff machinery
@@ -63,9 +62,8 @@ const char* message_kind_name(MessageKind kind);
 struct FaultConfig {
   /// Per-message drop probability, all message kinds.
   double message_loss = 0.0;
-  /// Extra drop probability applied to kPublish only — the legacy
-  /// MapService::inject_faults knob, kept as its own dial so loss-rate
-  /// sweeps can stress the publish path in isolation.
+  /// Extra drop probability applied to kPublish only, its own dial so
+  /// loss-rate sweeps can stress the publish path in isolation.
   double publish_loss = 0.0;
   /// Flat extra one-way delay added to every delivered message.
   double extra_delay_ms = 0.0;
@@ -159,7 +157,7 @@ class FaultPlane {
   /// out of a partitioned stub dies at the cut — while the loss draw
   /// stays per-message (one draw), matching message(). A single-element
   /// path is a self-delivery: it still traverses the local stack, so the
-  /// loss draw applies (legacy inject_faults semantics).
+  /// loss draw applies.
   template <typename Path, typename HostOf>
   Verdict message_via(MessageKind kind, const Path& path, HostOf&& host_of) {
     TO_EXPECTS(!path.empty());

@@ -19,8 +19,7 @@
 // `LinearStoreRef` (linear_store_ref.hpp) is the seed-semantics reference
 // implementation of the same interface; the property tests in
 // tests/softstate_indexed_store_test.cpp drive both through randomized
-// publish/rehome/expire sequences and require identical behaviour, and
-// bench/scale_sweep.cpp uses it for its seed-vs-indexed comparison mode.
+// publish/rehome/expire sequences and require identical behaviour.
 //
 // A `Traits` object (stateful: e.g. it carries the landmark-number width)
 // describes the entry type:
@@ -65,12 +64,6 @@ class IndexedStore {
   using Key = typename Traits::Key;
   using GroupKey = typename Traits::GroupKey;
   using OrderKey = typename Traits::OrderKey;
-
-  /// The map service gates its own hot-path shortcuts (scratch reuse,
-  /// precomputed sort keys) on this so the seed-comparison bench measures
-  /// the reference store against seed-era service costs, not against a
-  /// service that was itself optimized out from under the comparison.
-  static constexpr bool kReferenceCostModel = false;
 
   explicit IndexedStore(Traits traits = {}) : traits_(std::move(traits)) {}
 

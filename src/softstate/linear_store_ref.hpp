@@ -2,13 +2,11 @@
 // store: a bare insertion-ordered vector with linear scans, exactly as the
 // map backends stored entries before the indexed store existed.
 //
-// Kept for two consumers:
-//   - tests/softstate_indexed_store_test.cpp drives this and IndexedStore
-//     through identical randomized op sequences and requires identical
-//     observable behaviour (outcomes, sizes, group contents, expiry and
-//     lazy-delete counts);
-//   - bench/scale_sweep.cpp instantiates the map service over it
-//     (LegacyLinearMapService) to measure seed-vs-indexed throughput.
+// Kept as a test oracle: tests/softstate_indexed_store_test.cpp and
+// tests/softstate_compact_store_test.cpp drive it and the production
+// stores through identical randomized op sequences and require identical
+// observable behaviour (outcomes, sizes, group contents, expiry and
+// lazy-delete counts).
 //
 // Interface and semantics match IndexedStore (indexed_store.hpp); only the
 // costs differ — upsert and erase_node are O(store), expire_before sweeps
@@ -33,11 +31,6 @@ class LinearStoreRef {
   using TraitsType = Traits;
   using Key = typename Traits::Key;
   using GroupKey = typename Traits::GroupKey;
-
-  /// See IndexedStore::kReferenceCostModel: a service instantiated over
-  /// this store keeps the seed-era per-call allocations and recomputed
-  /// sort keys so the scale bench compares against honest pre-PR costs.
-  static constexpr bool kReferenceCostModel = true;
 
   explicit LinearStoreRef(Traits traits = {}) : traits_(std::move(traits)) {}
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
-#include <unordered_set>
 
 #include "geom/hilbert.hpp"
 
@@ -88,20 +87,7 @@ geom::Point BasicMapService<Store>::map_position(
   }
 
   std::array<std::uint32_t, geom::Point::kMaxDims> coords{};
-  double side_factor = map_side_factor_;
-  if constexpr (Store::kReferenceCostModel) {
-    // Seed-era placement cost: rebuild the curve, allocate its coordinate
-    // vector and re-run pow() on every call (identical values — the cache
-    // above is cost, not semantics).
-    const geom::HilbertCurve curve(static_cast<int>(dims), config_.map_bits);
-    const auto heap_coords = curve.coords(util::BigUint(key64));
-    std::copy(heap_coords.begin(), heap_coords.end(), coords.begin());
-    side_factor =
-        std::pow(config_.condense_rate, 1.0 / static_cast<double>(dims));
-  } else {
-    map_curve_.coords_into(util::BigUint(key64),
-                           std::span(coords.data(), dims));
-  }
+  map_curve_.coords_into(util::BigUint(key64), std::span(coords.data(), dims));
 
   // The map region: the hosting cell shrunk to condense_rate of its volume
   // (anchored at the cell's low corner).
@@ -111,7 +97,7 @@ geom::Point BasicMapService<Store>::map_position(
   const double grid = std::ldexp(1.0, -config_.map_bits);  // 2^-map_bits
   for (std::size_t d = 0; d < dims; ++d) {
     const double unit = (static_cast<double>(coords[d]) + 0.5) * grid;
-    position[d] = zone.lo(d) + unit * zone.side(d) * side_factor;
+    position[d] = zone.lo(d) + unit * zone.side(d) * map_side_factor_;
   }
   TO_ENSURES(zone.contains(position));
   return position;
@@ -119,44 +105,25 @@ geom::Point BasicMapService<Store>::map_position(
 
 template <typename Store>
 Store& BasicMapService<Store>::store_of(overlay::NodeId node) {
-  if constexpr (Store::kReferenceCostModel) {
-    const auto it = stores_.find(node);
-    if (it != stores_.end()) return it->second;
-    return stores_.emplace(node, Store(store_traits_)).first->second;
-  } else {
-    if (stores_.size() <= node)
-      stores_.resize(static_cast<std::size_t>(node) + 1,
-                     Store(store_traits_));
-    return stores_[node];
-  }
+  if (stores_.size() <= node)
+    stores_.resize(static_cast<std::size_t>(node) + 1, Store(store_traits_));
+  return stores_[node];
 }
 
 template <typename Store>
 const Store* BasicMapService<Store>::find_store(overlay::NodeId node) const {
-  if constexpr (Store::kReferenceCostModel) {
-    const auto it = stores_.find(node);
-    return it == stores_.end() ? nullptr : &it->second;
-  } else {
-    return node < stores_.size() ? &stores_[node] : nullptr;
-  }
+  return node < stores_.size() ? &stores_[node] : nullptr;
 }
 
 template <typename Store>
 Store* BasicMapService<Store>::find_store(overlay::NodeId node) {
-  if constexpr (Store::kReferenceCostModel) {
-    const auto it = stores_.find(node);
-    return it == stores_.end() ? nullptr : &it->second;
-  } else {
-    return node < stores_.size() ? &stores_[node] : nullptr;
-  }
+  return node < stores_.size() ? &stores_[node] : nullptr;
 }
 
 template <typename Store>
 void BasicMapService<Store>::reserve_stores(std::size_t owner_slots) {
-  if constexpr (!Store::kReferenceCostModel) {
-    if (stores_.size() < owner_slots)
-      stores_.resize(owner_slots, Store(store_traits_));
-  }
+  if (stores_.size() < owner_slots)
+    stores_.resize(owner_slots, Store(store_traits_));
 }
 
 // -- Entry-shape adapters ---------------------------------------------------
@@ -266,11 +233,6 @@ template <typename Store>
 bool BasicMapService<Store>::route_to(overlay::NodeId from,
                                       const geom::Point& position,
                                       overlay::RouteScratch& scratch) const {
-  if (config_.use_reference_router) {
-    overlay::RouteResult route = ecan_->route_ecan_reference(from, position);
-    scratch.path = std::move(route.path);
-    return route.success;
-  }
   if (config_.scalable_router)
     return ecan_->route_ecan_scalable(from, position, scratch);
   return ecan_->route_ecan(from, position, scratch);
@@ -297,21 +259,13 @@ template <typename Store>
 std::size_t BasicMapService<Store>::publish(
     overlay::NodeId node, const proximity::LandmarkVector& vector,
     sim::Time now, double load, double capacity) {
-  if constexpr (Store::kReferenceCostModel) {
-    // Seed-era derivation cost: a temporary coordinate vector plus the
-    // encoder's own working copy, allocated per publish.
-    return publish(node, vector, landmarks_->landmark_number(vector), now,
-                   load, capacity);
-  } else {
-    // Identical number, derived through the caller-owned scratch so a
-    // publish without a cached number still allocates nothing.
-    number_coords_scratch_.resize(
-        static_cast<std::size_t>(landmarks_->number_dims()));
-    return publish(
-        node, vector,
-        landmarks_->landmark_number(vector, number_coords_scratch_), now,
-        load, capacity);
-  }
+  // Derived through service-owned scratch so a publish without a cached
+  // number still allocates nothing.
+  number_coords_scratch_.resize(
+      static_cast<std::size_t>(landmarks_->number_dims()));
+  return publish(node, vector,
+                 landmarks_->landmark_number(vector, number_coords_scratch_),
+                 now, load, capacity);
 }
 
 template <typename Store>
@@ -394,16 +348,7 @@ std::size_t BasicMapService<Store>::publish(
   std::array<std::uint32_t, geom::Point::kMaxDims> cell_buf{};
   const std::span<std::uint32_t> cell_span(cell_buf.data(), ecan_->dims());
   for (int h = 1; h <= levels; ++h) {
-    std::span<const std::uint32_t> cell;
-    if constexpr (Store::kReferenceCostModel) {
-      // Seed-era cost: a fresh coordinate vector per level per publish.
-      const auto heap_cell = ecan_->cell_of_node(node, h);
-      std::copy(heap_cell.begin(), heap_cell.end(), cell_buf.begin());
-      cell = cell_span;
-    } else {
-      ecan_->cell_of_node_into(node, h, cell_span);
-      cell = cell_span;
-    }
+    ecan_->cell_of_node_into(node, h, cell_span);
     std::array<overlay::NodeId, static_cast<std::size_t>(kMaxReplicas)>
         placed{};
     std::size_t placed_count = 0;
@@ -411,14 +356,14 @@ std::size_t BasicMapService<Store>::publish(
       overlay::NodeId owner = overlay::kInvalidNode;
       geom::Point position;
       const PublishSend sent = route_publish_message(
-          node, number, h, cell, r, route_scratch_, stats_, hops,
+          node, number, h, cell_span, r, route_scratch_, stats_, hops,
           std::span<const overlay::NodeId>(placed.data(), placed_count),
           &owner, &position);
       if (sent == PublishSend::kDelivered) {
         place_entry(owner,
                     make_entry(node, vector, number, record, now, load,
-                               capacity, h, ecan_->pack_cell(h, cell), r,
-                               position));
+                               capacity, h, ecan_->pack_cell(h, cell_span),
+                               r, position));
         placed[placed_count++] = owner;
       } else if (sent == PublishSend::kLost && retry_.enabled()) {
         schedule_publish_retry(node, vector, number, load, capacity, h, r,
@@ -552,19 +497,8 @@ void BasicMapService<Store>::collect_from(overlay::NodeId owner,
                                           std::vector<const EntryT*>& out,
                                           bool prune,
                                           MapServiceStats& stats) const {
-  const Store* store;
-  if constexpr (Store::kReferenceCostModel) {
-    // Seed-era cost (and bug): the read path used the creating accessor,
-    // materializing an empty store for every owner a lookup ever touched —
-    // which every later expiry sweep then had to visit. Results are
-    // unchanged (an empty store contributes nothing); the cost was not.
-    // Reference lookups always run on the classic (non-const) entry
-    // points, so the cast is write-through on a genuinely mutable object.
-    store = &const_cast<BasicMapService*>(this)->store_of(owner);
-  } else {
-    store = find_store(owner);
-    if (store == nullptr) return;
-  }
+  const Store* store = find_store(owner);
+  if (store == nullptr) return;
   if (prune) {
     // Prune expired entries on access (soft-state decay). Classic
     // single-threaded paths only — the shard path reads concurrently and
@@ -691,191 +625,123 @@ std::size_t BasicMapService<Store>::lookup_core(
   }
   const net::HostId querier_host = ecan_->node(querier).host;
 
+  // Every per-lookup container is a reused scratch member and each
+  // candidate's distance is computed exactly once.
+  scratch.found.clear();
+  collect_from(result.owner, cell_key, now, scratch.found, prune, stats);
+
+  // Table 1: "define a TTL to search outside y's map content range" —
+  // ring expansion over adjacent map pieces (the owner's CAN neighbors)
+  // until enough candidates are found or the TTL is exhausted.
+  if (scratch.found.size() < config_.min_candidates &&
+      config_.lookup_ring_ttl > 0) {
+    if (scratch.visit_stamp.size() < ecan_->slot_count())
+      scratch.visit_stamp.resize(ecan_->slot_count(), 0);
+    if (++scratch.visit_epoch == 0) {  // stamp wraparound: one real reset
+      std::fill(scratch.visit_stamp.begin(), scratch.visit_stamp.end(),
+                0u);
+      scratch.visit_epoch = 1;
+    }
+    scratch.visit_stamp[result.owner] = scratch.visit_epoch;
+    std::vector<overlay::NodeId>* ring = &scratch.ring;
+    std::vector<overlay::NodeId>* next_ring = &scratch.next_ring;
+    ring->clear();
+    ring->push_back(result.owner);
+    for (int depth = 0; depth < config_.lookup_ring_ttl &&
+                        scratch.found.size() < config_.min_candidates &&
+                        !ring->empty();
+         ++depth) {
+      next_ring->clear();
+      for (const overlay::NodeId node : *ring)
+        for (const overlay::NodeId nb : ecan_->node(node).neighbors)
+          if (ecan_->alive(nb) &&
+              scratch.visit_stamp[nb] != scratch.visit_epoch) {
+            scratch.visit_stamp[nb] = scratch.visit_epoch;
+            next_ring->push_back(nb);
+          }
+      for (const overlay::NodeId nb : *next_ring) {
+        ++result.pieces_visited;
+        ++result.route_hops;  // one overlay message per piece visited
+        if (gated && !fault_plane_->deliver(sim::MessageKind::kLookup,
+                                            querier_host,
+                                            ecan_->node(nb).host))
+          continue;  // that piece stays unread this round
+        if (congested &&
+            !traffic_plane_->message(querier_host, ecan_->node(nb).host)
+                 .delivered) {
+          ++stats.congestion_drops;
+          continue;  // congestion swallowed the piece fetch
+        }
+        collect_from(nb, cell_key, now, scratch.found, prune, stats);
+      }
+      std::swap(ring, next_ring);
+    }
+  }
+
+  // Rank by landmark-space distance to the querier; only the top X are
+  // returned, so a partial sort to the return budget suffices. Candidate
+  // sets can run to hundreds of entries after ring expansion while
+  // max_return is typically ~10, so ordering the tail is wasted work on
+  // the hot lookup path. Budget in entries the querier itself owns (they
+  // are skipped below) so the cutoff never starves the result. Ties on
+  // distance are common once maps condense (quantized vectors), so break
+  // them by node id — without a total order the partial-sort prefix
+  // would be implementation-defined.
+  std::size_t self_entries = 0;
+  const std::size_t found_count = scratch.found.size();
+  const std::size_t m = querier_vector.size();
+  // Rank keys through the SoA microkernel: transpose the candidates'
+  // vectors into a dim-major buffer once, then one vectorizable pass
+  // computes every squared distance. Same keys as calling
+  // squared_distance per candidate, minus the strided cache misses.
+  scratch.soa.resize(found_count * m);
+  scratch.dist.resize(found_count);
+  for (std::size_t i = 0; i < found_count; ++i) {
+    if constexpr (kCompact) {
+      const std::uint32_t record = scratch.found[i]->record;
+      TO_EXPECTS(pool_.dims() == m);
+      for (std::size_t d = 0; d < m; ++d)
+        scratch.soa[d * found_count + i] = pool_.component(record, d);
+    } else {
+      const proximity::LandmarkVector& v = scratch.found[i]->entry.vector;
+      TO_EXPECTS(v.size() == m);
+      for (std::size_t d = 0; d < m; ++d)
+        scratch.soa[d * found_count + i] = v[d];
+    }
+  }
+  proximity::squared_distances_soa(scratch.soa, found_count,
+                                   querier_vector, scratch.dist);
+  scratch.ranked.clear();
+  scratch.ranked.reserve(found_count);
+  for (std::size_t i = 0; i < found_count; ++i) {
+    if (entry_node(*scratch.found[i]) == querier) ++self_entries;
+    scratch.ranked.push_back(
+        typename LookupScratch::RankedRef{scratch.dist[i],
+                                          scratch.found[i]});
+  }
+  const std::size_t ranked =
+      std::min(scratch.ranked.size(), config_.max_return + self_entries);
+  std::partial_sort(
+      scratch.ranked.begin(),
+      scratch.ranked.begin() + static_cast<std::ptrdiff_t>(ranked),
+      scratch.ranked.end(),
+      [](const typename LookupScratch::RankedRef& a,
+         const typename LookupScratch::RankedRef& b) {
+        if (a.distance != b.distance) return a.distance < b.distance;
+        return entry_node(*a.stored) < entry_node(*b.stored);
+      });
+  // Emit by assignment into the caller's buffer: a MapEntry's vector and
+  // number reuse their existing heap blocks, so a warmed-up buffer makes
+  // the whole lookup allocation-free.
   std::size_t count = 0;
-  if constexpr (Store::kReferenceCostModel) {
-    // Seed-era lookup, verbatim: fresh containers per call and the sort
-    // comparator recomputing both distances on every comparison. The sort
-    // keys are identical to the fast path's, so the returned entries are
-    // too — only the costs differ.
-    std::vector<const StoredEntry*> found;
-    collect_from(result.owner, cell_key, now, found, prune, stats);
-    if (found.size() < config_.min_candidates &&
-        config_.lookup_ring_ttl > 0) {
-      std::unordered_set<overlay::NodeId> visited = {result.owner};
-      std::vector<overlay::NodeId> ring = {result.owner};
-      for (int depth = 0; depth < config_.lookup_ring_ttl &&
-                          found.size() < config_.min_candidates &&
-                          !ring.empty();
-           ++depth) {
-        std::vector<overlay::NodeId> next_ring;
-        for (const overlay::NodeId node : ring)
-          for (const overlay::NodeId nb : ecan_->node(node).neighbors)
-            if (ecan_->alive(nb) && visited.insert(nb).second)
-              next_ring.push_back(nb);
-        for (const overlay::NodeId nb : next_ring) {
-          ++result.pieces_visited;
-          ++result.route_hops;  // one overlay message per piece visited
-          if (gated && !fault_plane_->deliver(sim::MessageKind::kLookup,
-                                              querier_host,
-                                              ecan_->node(nb).host))
-            continue;  // that piece stays unread this round
-          if (congested &&
-              !traffic_plane_->message(querier_host, ecan_->node(nb).host)
-                   .delivered) {
-            ++stats.congestion_drops;
-            continue;  // congestion swallowed the piece fetch
-          }
-          collect_from(nb, cell_key, now, found, prune, stats);
-        }
-        ring = std::move(next_ring);
-      }
-    }
-    std::size_t self_entries = 0;
-    for (const StoredEntry* stored : found)
-      if (stored->entry.node == querier) ++self_entries;
-    const std::size_t ranked =
-        std::min(found.size(), config_.max_return + self_entries);
-    std::partial_sort(found.begin(),
-                      found.begin() + static_cast<std::ptrdiff_t>(ranked),
-                      found.end(),
-                      [&](const StoredEntry* a, const StoredEntry* b) {
-                        // Squared distances: same ordering as the fast
-                        // path's SoA kernel (and sqrt-free like it), still
-                        // recomputed per comparison as the seed did.
-                        const double da = proximity::squared_distance(
-                            a->entry.vector, querier_vector);
-                        const double db = proximity::squared_distance(
-                            b->entry.vector, querier_vector);
-                        if (da != db) return da < db;
-                        return a->entry.node < b->entry.node;
-                      });
-    std::vector<MapEntry> entries;
-    for (const StoredEntry* stored : found) {
-      if (entries.size() >= config_.max_return) break;
-      if (stored->entry.node == querier) continue;  // never the asker
-      entries.push_back(stored->entry);
-    }
-    count = entries.size();
-    if (out.size() < count) out.resize(count);
-    for (std::size_t i = 0; i < count; ++i) out[i] = std::move(entries[i]);
-  } else {
-    // Fast path: every per-lookup container is a reused scratch member and
-    // each candidate's distance is computed exactly once.
-    scratch.found.clear();
-    collect_from(result.owner, cell_key, now, scratch.found, prune, stats);
-
-    // Table 1: "define a TTL to search outside y's map content range" —
-    // ring expansion over adjacent map pieces (the owner's CAN neighbors)
-    // until enough candidates are found or the TTL is exhausted.
-    if (scratch.found.size() < config_.min_candidates &&
-        config_.lookup_ring_ttl > 0) {
-      if (scratch.visit_stamp.size() < ecan_->slot_count())
-        scratch.visit_stamp.resize(ecan_->slot_count(), 0);
-      if (++scratch.visit_epoch == 0) {  // stamp wraparound: one real reset
-        std::fill(scratch.visit_stamp.begin(), scratch.visit_stamp.end(),
-                  0u);
-        scratch.visit_epoch = 1;
-      }
-      scratch.visit_stamp[result.owner] = scratch.visit_epoch;
-      std::vector<overlay::NodeId>* ring = &scratch.ring;
-      std::vector<overlay::NodeId>* next_ring = &scratch.next_ring;
-      ring->clear();
-      ring->push_back(result.owner);
-      for (int depth = 0; depth < config_.lookup_ring_ttl &&
-                          scratch.found.size() < config_.min_candidates &&
-                          !ring->empty();
-           ++depth) {
-        next_ring->clear();
-        for (const overlay::NodeId node : *ring)
-          for (const overlay::NodeId nb : ecan_->node(node).neighbors)
-            if (ecan_->alive(nb) &&
-                scratch.visit_stamp[nb] != scratch.visit_epoch) {
-              scratch.visit_stamp[nb] = scratch.visit_epoch;
-              next_ring->push_back(nb);
-            }
-        for (const overlay::NodeId nb : *next_ring) {
-          ++result.pieces_visited;
-          ++result.route_hops;  // one overlay message per piece visited
-          if (gated && !fault_plane_->deliver(sim::MessageKind::kLookup,
-                                              querier_host,
-                                              ecan_->node(nb).host))
-            continue;  // that piece stays unread this round
-          if (congested &&
-              !traffic_plane_->message(querier_host, ecan_->node(nb).host)
-                   .delivered) {
-            ++stats.congestion_drops;
-            continue;  // congestion swallowed the piece fetch
-          }
-          collect_from(nb, cell_key, now, scratch.found, prune, stats);
-        }
-        std::swap(ring, next_ring);
-      }
-    }
-
-    // Rank by landmark-space distance to the querier; only the top X are
-    // returned, so a partial sort to the return budget suffices. Candidate
-    // sets can run to hundreds of entries after ring expansion while
-    // max_return is typically ~10, so ordering the tail is wasted work on
-    // the hot lookup path. Budget in entries the querier itself owns (they
-    // are skipped below) so the cutoff never starves the result. Ties on
-    // distance are common once maps condense (quantized vectors), so break
-    // them by node id — without a total order the partial-sort prefix
-    // would be implementation-defined.
-    std::size_t self_entries = 0;
-    const std::size_t found_count = scratch.found.size();
-    const std::size_t m = querier_vector.size();
-    // Rank keys through the SoA microkernel: transpose the candidates'
-    // vectors into a dim-major buffer once, then one vectorizable pass
-    // computes every squared distance. Same keys as calling
-    // squared_distance per candidate, minus the strided cache misses.
-    scratch.soa.resize(found_count * m);
-    scratch.dist.resize(found_count);
-    for (std::size_t i = 0; i < found_count; ++i) {
-      if constexpr (kCompact) {
-        const std::uint32_t record = scratch.found[i]->record;
-        TO_EXPECTS(pool_.dims() == m);
-        for (std::size_t d = 0; d < m; ++d)
-          scratch.soa[d * found_count + i] = pool_.component(record, d);
-      } else {
-        const proximity::LandmarkVector& v = scratch.found[i]->entry.vector;
-        TO_EXPECTS(v.size() == m);
-        for (std::size_t d = 0; d < m; ++d)
-          scratch.soa[d * found_count + i] = v[d];
-      }
-    }
-    proximity::squared_distances_soa(scratch.soa, found_count,
-                                     querier_vector, scratch.dist);
-    scratch.ranked.clear();
-    scratch.ranked.reserve(found_count);
-    for (std::size_t i = 0; i < found_count; ++i) {
-      if (entry_node(*scratch.found[i]) == querier) ++self_entries;
-      scratch.ranked.push_back(
-          typename LookupScratch::RankedRef{scratch.dist[i],
-                                            scratch.found[i]});
-    }
-    const std::size_t ranked =
-        std::min(scratch.ranked.size(), config_.max_return + self_entries);
-    std::partial_sort(
-        scratch.ranked.begin(),
-        scratch.ranked.begin() + static_cast<std::ptrdiff_t>(ranked),
-        scratch.ranked.end(),
-        [](const typename LookupScratch::RankedRef& a,
-           const typename LookupScratch::RankedRef& b) {
-          if (a.distance != b.distance) return a.distance < b.distance;
-          return entry_node(*a.stored) < entry_node(*b.stored);
-        });
-    // Emit by assignment into the caller's buffer: a MapEntry's vector and
-    // number reuse their existing heap blocks, so a warmed-up buffer makes
-    // the whole lookup allocation-free.
-    for (const typename LookupScratch::RankedRef& candidate :
-         scratch.ranked) {
-      if (count >= config_.max_return) break;
-      if (entry_node(*candidate.stored) == querier)
-        continue;  // never the asker
-      if (count >= out.size()) out.emplace_back();
-      assign_entry(out[count], *candidate.stored);
-      ++count;
-    }
+  for (const typename LookupScratch::RankedRef& candidate :
+       scratch.ranked) {
+    if (count >= config_.max_return) break;
+    if (entry_node(*candidate.stored) == querier)
+      continue;  // never the asker
+    if (count >= out.size()) out.emplace_back();
+    assign_entry(out[count], *candidate.stored);
+    ++count;
   }
 
   ++stats.lookups;
@@ -912,18 +778,12 @@ std::size_t BasicMapService<Store>::lookup_entries_into(
     overlay::NodeId querier, const proximity::LandmarkVector& querier_vector,
     int level, std::span<const std::uint32_t> cell, sim::Time now,
     std::vector<MapEntry>& out, LookupResult* meta) {
-  if constexpr (Store::kReferenceCostModel) {
-    return lookup_entries_into(querier, querier_vector,
-                               landmarks_->landmark_number(querier_vector),
-                               level, cell, now, out, meta);
-  } else {
-    number_coords_scratch_.resize(
-        static_cast<std::size_t>(landmarks_->number_dims()));
-    return lookup_entries_into(
-        querier, querier_vector,
-        landmarks_->landmark_number(querier_vector, number_coords_scratch_),
-        level, cell, now, out, meta);
-  }
+  number_coords_scratch_.resize(
+      static_cast<std::size_t>(landmarks_->number_dims()));
+  return lookup_entries_into(
+      querier, querier_vector,
+      landmarks_->landmark_number(querier_vector, number_coords_scratch_),
+      level, cell, now, out, meta);
 }
 
 template <typename Store>
@@ -1089,13 +949,7 @@ void BasicMapService<Store>::migrate_after_join(overlay::NodeId joined,
 template <typename Store>
 std::vector<StoredEntry> BasicMapService<Store>::extract_store(
     overlay::NodeId node) {
-  if constexpr (Store::kReferenceCostModel) {
-    const auto it = stores_.find(node);
-    if (it == stores_.end()) return {};
-    std::vector<StoredEntry> out = it->second.extract_all();
-    stores_.erase(it);
-    return out;
-  } else if constexpr (kCompact) {
+  if constexpr (kCompact) {
     Store* store = find_store(node);
     if (store == nullptr) return {};
     std::vector<EntryT> compact = store->extract_all();
@@ -1177,14 +1031,8 @@ std::size_t BasicMapService<Store>::hosting_owner_count() const {
 template <typename Store>
 std::size_t BasicMapService<Store>::memory_bytes() const {
   std::size_t total = pool_.memory_bytes();
-  if constexpr (Store::kReferenceCostModel) {
-    total += stores_.bucket_count() * sizeof(void*);
-    for (const auto& [owner, store] : stores_)
-      total += sizeof(Store) + store.memory_bytes() + 2 * sizeof(void*);
-  } else {
-    total += stores_.capacity() * sizeof(Store);
-    for (const Store& store : stores_) total += store.memory_bytes();
-  }
+  total += stores_.capacity() * sizeof(Store);
+  for (const Store& store : stores_) total += store.memory_bytes();
   if constexpr (!kCompact) {
     // Per-entry payload heap: every stored copy carries its own landmark
     // vector (the duplication the compact store exists to remove).
@@ -1224,6 +1072,5 @@ std::size_t BasicMapService<Store>::total_entries() const {
 
 template class BasicMapService<MapStore>;
 template class BasicMapService<CompactMapStore>;
-template class BasicMapService<LegacyLinearMapStore>;
 
 }  // namespace topo::softstate

@@ -13,23 +13,21 @@
 //
 // All messages are routed over the overlay itself and accounted (hops).
 //
-// The service is a template over its per-owner store so three backends
+// The service is a template over its per-owner store so two backends
 // share every line of protocol logic:
 //
 //   - `MapService` (IndexedStore over StoredEntry) — the full store every
 //     figure bench uses; entries carry their own MapEntry payload.
-//   - `CompactMapService` (IndexedStore over CompactStoredEntry) — the
+//   - `CompactMapService` (SmallSortedStore over CompactStoredEntry) — the
 //     scale-out store: entries are 64 inline bytes referencing an interned
 //     NodeRecordPool record (vector_pool.hpp), positions are recomputed
 //     instead of stored. Results are bit-identical to MapService while
 //     quantization (MapConfig::quantize_vectors) is off — pinned by
-//     tests/softstate_compact_store_test.cpp.
-//   - `LegacyLinearMapService` (LinearStoreRef) — the seed-semantics twin
-//     for the equivalence property tests and bench/scale_sweep's
-//     seed-comparison mode.
+//     tests/softstate_compact_store_test.cpp and the committed digests in
+//     tests/golden_digest_test.cpp.
 //
-// Routing uses the eCAN's allocation-free scratch fast path unless
-// `MapConfig::use_reference_router` selects the reference router.
+// Routing uses the eCAN's allocation-free scratch router, or the scalable
+// router when `MapConfig::scalable_router` is set.
 //
 // Sharded execution (softstate/sharded_runner.hpp) drives the service
 // through a const, caller-scratch surface: `plan_publish` routes and
@@ -43,7 +41,6 @@
 #include <cstring>
 #include <functional>
 #include <limits>
-#include <memory>
 #include <span>
 #include <type_traits>
 #include <unordered_map>
@@ -58,7 +55,6 @@
 #include "sim/event_queue.hpp"
 #include "sim/fault_plane.hpp"
 #include "softstate/indexed_store.hpp"
-#include "softstate/linear_store_ref.hpp"
 #include "softstate/small_store.hpp"
 #include "softstate/map_entry.hpp"
 #include "softstate/vector_pool.hpp"
@@ -110,11 +106,6 @@ struct MapConfig {
   /// than this many candidates (a sparsely-populated piece is almost as
   /// useless as an empty one).
   std::size_t min_candidates = 8;
-  /// Route publish/lookup messages with EcanNetwork::route_ecan_reference
-  /// instead of the scratch fast path. Hop sequences are identical either
-  /// way (tested); this knob exists so the equivalence tests and the scale
-  /// bench's seed-comparison mode can reproduce pre-indexed-store costs.
-  bool use_reference_router = false;
   /// Route publish/lookup messages with EcanNetwork::route_ecan_scalable:
   /// the greedy fallback re-consults the expressway each hop (budgeted)
   /// instead of going sticky, which keeps hop counts O(log n) where the
@@ -325,7 +316,6 @@ using MapStore = IndexedStore<StoredEntry, MapStoreTraits>;
 /// themselves by >10x — the exact overhead the memory diet removes. The
 /// observable semantics are identical (softstate_compact_store_test).
 using CompactMapStore = SmallSortedStore<CompactStoredEntry, CompactMapStoreTraits>;
-using LegacyLinearMapStore = LinearStoreRef<StoredEntry, MapStoreTraits>;
 
 /// Entry-shape-agnostic projection of one stored copy, as visited by
 /// BasicMapService::for_each_recon. This is everything the anti-entropy
@@ -445,8 +435,7 @@ class BasicMapService {
   void apply_planned(PlannedPlacement&& placement);
 
   /// Pre-sizes the dense store table to `owner_slots` (the eCAN's slot
-  /// count) so concurrent apply_planned calls never resize it. No-op for
-  /// the reference (hash-map) instantiation.
+  /// count) so concurrent apply_planned calls never resize it.
   void reserve_stores(std::size_t owner_slots);
 
   /// Merges a sharded round's per-shard stats into the service's own.
@@ -606,10 +595,9 @@ class BasicMapService {
   bool check_placement_invariant() const;
 
   /// Visits every stored entry with its hosting owner (iteration order is
-  /// store-internal). The batched-join equivalence tests use this to
-  /// compare full map contents across services. Compact instantiations
-  /// materialize each entry into a reused StoredEntry, so callers see the
-  /// same record shape from every backend.
+  /// store-internal). Compact instantiations materialize each entry into
+  /// a reused StoredEntry, so callers see the same record shape from
+  /// every backend.
   template <typename Fn>
   void for_each_entry(Fn&& fn) const {
     if constexpr (kCompact) {
@@ -719,10 +707,7 @@ class BasicMapService {
   /// Installs the shared fault plane: every publish/lookup/repair message
   /// consults it before being considered delivered. Pass nullptr to
   /// detach. The plane must outlive the service (the facade owns both).
-  void set_fault_plane(sim::FaultPlane* plane) {
-    fault_plane_ = plane;
-    owned_fault_plane_.reset();
-  }
+  void set_fault_plane(sim::FaultPlane* plane) { fault_plane_ = plane; }
   sim::FaultPlane* fault_plane() const { return fault_plane_; }
 
   /// Installs the shared traffic plane: while it is active, every
@@ -747,21 +732,6 @@ class BasicMapService {
   }
   const util::RetryPolicy& retry_policy() const { return retry_; }
 
-  /// Legacy fault-injection knob, kept as a thin shim over the fault
-  /// plane: every publish *message* (one per map level) is lost with
-  /// `publish_loss` probability before reaching its owner. Soft state is
-  /// designed to absorb this — the next republish refills the map — and
-  /// the failure-injection tests verify exactly that. Replaces any plane
-  /// installed via set_fault_plane with a service-owned one.
-  void inject_faults(double publish_loss, std::uint64_t seed) {
-    TO_EXPECTS(publish_loss >= 0.0 && publish_loss <= 1.0);
-    sim::FaultConfig fault;
-    fault.publish_loss = publish_loss;
-    fault.seed = seed;
-    owned_fault_plane_ = std::make_unique<sim::FaultPlane>(fault);
-    fault_plane_ = owned_fault_plane_.get();
-  }
-
   /// Hook used by the pub/sub layer: called with every stored entry
   /// insertion (owner, new entry). Compact instantiations materialize the
   /// StoredEntry per notification — pub/sub rides the full service, so
@@ -773,44 +743,23 @@ class BasicMapService {
   }
 
  private:
-  /// Per-owner store container. The production service keeps stores in a
-  /// dense vector indexed by node id (simulator ids are small slot
-  /// indices), so the per-message owner lookup on the publish/lookup hot
-  /// path is an array index; the reference instantiation keeps the seed's
-  /// hash map so the scale bench compares against seed-era costs. An
-  /// absent owner is an out-of-range id (dense) / missing key (map); an
-  /// empty store means the same thing as an absent one everywhere.
-  using StoreMap =
-      std::conditional_t<Store::kReferenceCostModel,
-                         std::unordered_map<overlay::NodeId, Store>,
-                         std::vector<Store>>;
-
   /// Creating accessor — write paths only (placing/migrating entries).
   Store& store_of(overlay::NodeId node);
   /// Non-creating accessors for lookup/expiry/stats paths: an owner that
   /// never hosted an entry must not grow the store map.
   const Store* find_store(overlay::NodeId node) const;
   Store* find_store(overlay::NodeId node);
-  /// Visits every (owner, store) pair — the container-shape-agnostic way
-  /// the sweep/stats paths iterate. Dense iteration includes empty
-  /// stores; callers already treat empty as absent.
+  /// Visits every (owner, store) pair. Iteration includes empty stores;
+  /// callers already treat empty as absent.
   template <typename Fn>
   void for_each_store(Fn&& fn) {
-    if constexpr (Store::kReferenceCostModel) {
-      for (auto& [owner, store] : stores_) fn(owner, store);
-    } else {
-      for (std::size_t id = 0; id < stores_.size(); ++id)
-        fn(static_cast<overlay::NodeId>(id), stores_[id]);
-    }
+    for (std::size_t id = 0; id < stores_.size(); ++id)
+      fn(static_cast<overlay::NodeId>(id), stores_[id]);
   }
   template <typename Fn>
   void for_each_store(Fn&& fn) const {
-    if constexpr (Store::kReferenceCostModel) {
-      for (const auto& [owner, store] : stores_) fn(owner, store);
-    } else {
-      for (std::size_t id = 0; id < stores_.size(); ++id)
-        fn(static_cast<overlay::NodeId>(id), stores_[id]);
-    }
+    for (std::size_t id = 0; id < stores_.size(); ++id)
+      fn(static_cast<overlay::NodeId>(id), stores_[id]);
   }
 
   // -- Entry-shape adapters ----------------------------------------------
@@ -924,18 +873,20 @@ class BasicMapService {
   const proximity::LandmarkSet* landmarks_;
   MapConfig config_;
   typename Store::TraitsType store_traits_;
-  StoreMap stores_;
+  /// Per-owner stores, dense by node id (simulator ids are small slot
+  /// indices), so the per-message owner lookup on the publish/lookup hot
+  /// path is an array index. An absent owner is an out-of-range id; an
+  /// empty store means the same thing as an absent one everywhere.
+  std::vector<Store> stores_;
   /// Interned per-node payloads (compact instantiations only; stays
   /// empty otherwise). Append-only — safe to read concurrently from the
   /// sharded plan/lookup phases, mutated only by intern_node/publish.
   NodeRecordPool pool_;
   MapServiceStats stats_;
   PublishObserver publish_observer_;
-  /// Fault plane consulted per message; usually the facade's shared
-  /// plane, or a service-owned one when the legacy inject_faults shim is
-  /// used. nullptr = no fault gating at all.
+  /// Fault plane consulted per message (usually the facade's shared
+  /// plane); nullptr = no fault gating at all.
   sim::FaultPlane* fault_plane_ = nullptr;
-  std::unique_ptr<sim::FaultPlane> owned_fault_plane_;
   /// Traffic plane consulted per message when active; nullptr = no
   /// congestion gating.
   net::TrafficPlane* traffic_plane_ = nullptr;
@@ -955,10 +906,7 @@ class BasicMapService {
   mutable util::Rng retry_rng_{0x7e7521ull};
 
   // -- Hot-path caches and scratch ---------------------------------------
-  // Everything below is cost, not semantics: the service instantiated over
-  // the reference store (Store::kReferenceCostModel) bypasses it and keeps
-  // the seed-era per-call work so bench/scale_sweep compares the indexed
-  // path against honest pre-PR costs. Results are identical either way.
+  // Everything below is cost, not semantics.
 
   /// Map-region curve and side scaling are pure functions of the config;
   /// the seed rebuilt the curve and re-ran pow() on every placement.
@@ -978,9 +926,8 @@ class BasicMapService {
 
 /// The production service: indexed stores + allocation-free routing.
 using MapService = BasicMapService<MapStore>;
-/// The scale-out service: indexed stores over 64-byte interned entries.
+/// The scale-out service: small sorted stores over 64-byte interned
+/// entries.
 using CompactMapService = BasicMapService<CompactMapStore>;
-/// Seed-semantics twin for equivalence tests and the scale bench.
-using LegacyLinearMapService = BasicMapService<LegacyLinearMapStore>;
 
 }  // namespace topo::softstate

@@ -48,8 +48,6 @@ class SmallSortedStore {
   using GroupKey = typename Traits::GroupKey;
   using OrderKey = typename Traits::OrderKey;
 
-  static constexpr bool kReferenceCostModel = false;
-
   explicit SmallSortedStore(Traits traits = {})
       : traits_(std::move(traits)) {}
 

@@ -136,34 +136,6 @@ TEST(Hilbert, LocalityBeatsRowMajorOnAverage) {
   EXPECT_DOUBLE_EQ(hilbert_total, static_cast<double>(total - 1));
 }
 
-TEST(Hilbert, IndexManyMatchesScalarIndex) {
-  // Random (dims, bits) pairs across the whole supported range — up to the
-  // 256-bit BigUint index limit — with random wave sizes.
-  util::Rng rng(99);
-  for (int trial = 0; trial < 50; ++trial) {
-    const int dims = 1 + static_cast<int>(rng.next_u64(30));
-    const int max_bits = std::min(32, 256 / dims);
-    const int bits = 1 + static_cast<int>(rng.next_u64(
-                             static_cast<std::uint64_t>(max_bits)));
-    const HilbertCurve curve(dims, bits);
-    const std::size_t n = 1 + rng.next_u64(17);
-    std::vector<std::uint32_t> tuples(n * static_cast<std::size_t>(dims));
-    for (auto& c : tuples)
-      c = static_cast<std::uint32_t>(rng.next_u64(1ULL << bits));
-
-    std::vector<std::uint32_t> arena = tuples;  // index_many clobbers it
-    std::vector<BigUint> bulk(n);
-    curve.index_many(arena, bulk);
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::span<const std::uint32_t> coords(
-          tuples.data() + i * static_cast<std::size_t>(dims),
-          static_cast<std::size_t>(dims));
-      ASSERT_EQ(bulk[i], curve.index(coords))
-          << "dims=" << dims << " bits=" << bits << " tuple=" << i;
-    }
-  }
-}
-
 TEST(Hilbert, ScratchIndexOverloadMatchesAndAllowsAliasing) {
   util::Rng rng(123);
   for (int trial = 0; trial < 50; ++trial) {
@@ -181,11 +153,6 @@ TEST(Hilbert, ScratchIndexOverloadMatchesAndAllowsAliasing) {
     std::vector<std::uint32_t> aliased = coords;
     EXPECT_EQ(curve.index(aliased, aliased), expected);
   }
-}
-
-TEST(Hilbert, IndexManyHandlesEmptyWave) {
-  const HilbertCurve curve(3, 4);
-  curve.index_many({}, {});  // must not touch anything
 }
 
 TEST(Hilbert, OriginMapsToIndexZero) {

@@ -7,6 +7,7 @@
 // final topology, link weights, or engine answers.
 #include "net/streamed_build.hpp"
 
+#include <ostream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -27,6 +28,10 @@ struct Case {
   std::size_t batch_stubs;
   std::uint64_t seed;
 };
+
+// Without this gtest dumps the struct's bytes, `name`'s address included,
+// into the test name, which would change from build to build.
+void PrintTo(const Case& c, std::ostream* os) { *os << c.name; }
 
 class StreamedBuildEquivalence : public ::testing::TestWithParam<Case> {};
 

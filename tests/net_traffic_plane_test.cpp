@@ -212,14 +212,6 @@ TEST(TrafficPlane, OracleComposesQueuingDelayOntoRtt) {
   EXPECT_DOUBLE_EQ(loaded, base + plane.queuing_delay_ms(a, b));
   EXPECT_GT(loaded, base);
 
-  // Bulk column matches the scalar path value for value.
-  std::vector<HostId> froms;
-  for (HostId h = 0; h < t.host_count(); ++h) froms.push_back(h);
-  std::vector<double> column(froms.size());
-  oracle.probe_rtt_many(froms, b, column);
-  for (std::size_t i = 0; i < froms.size(); ++i)
-    EXPECT_DOUBLE_EQ(column[i], oracle.latency_ms(froms[i], b)) << i;
-
   // Detaching restores the propagation-only value.
   oracle.set_traffic_plane(nullptr);
   EXPECT_DOUBLE_EQ(oracle.latency_ms(a, b), base);

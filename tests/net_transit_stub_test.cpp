@@ -18,7 +18,7 @@ TEST(TransitStubPresets, HostCountsMatchPaperScale) {
 }
 
 class TransitStubStructure
-    : public ::testing::TestWithParam<std::pair<const char*, std::uint64_t>> {
+    : public ::testing::TestWithParam<std::pair<std::string, std::uint64_t>> {
  protected:
   TransitStubConfig config() const {
     const std::string name = GetParam().first;
@@ -118,13 +118,15 @@ TEST_P(TransitStubStructure, DeterministicGivenSeed) {
 
 INSTANTIATE_TEST_SUITE_P(
     Variants, TransitStubStructure,
-    ::testing::Values(std::make_pair("tiny", 1ULL),
-                      std::make_pair("tiny", 99ULL),
-                      std::make_pair("multihomed", 2ULL),
-                      std::make_pair("single-domain", 3ULL),
-                      std::make_pair("one-host-stubs", 4ULL)),
+    // std::string, not const char*: gtest prints a char pointer's address
+    // into the test name, which would change from build to build.
+    ::testing::Values(std::make_pair(std::string("tiny"), 1ULL),
+                      std::make_pair(std::string("tiny"), 99ULL),
+                      std::make_pair(std::string("multihomed"), 2ULL),
+                      std::make_pair(std::string("single-domain"), 3ULL),
+                      std::make_pair(std::string("one-host-stubs"), 4ULL)),
     [](const auto& info) {
-      std::string name = std::string(info.param.first) + "_seed" +
+      std::string name = info.param.first + "_seed" +
                          std::to_string(info.param.second);
       std::replace(name.begin(), name.end(), '-', '_');
       return name;

@@ -85,8 +85,10 @@ INSTANTIATE_TEST_SUITE_P(
 // ---------------------------------------------------------------------
 // Chord sweep over (id_bits, seed).
 
+// `bits` is as wide as `seed` so the struct has no padding: gtest dumps a
+// parameter's raw bytes into the test name, and padding bytes are garbage.
 struct RingSweepParam {
-  int bits;
+  std::size_t bits;
   std::uint64_t seed;
 };
 

@@ -181,26 +181,6 @@ TEST(SquaredDistancesSoa, BitIdenticalToScalarKernel) {
   }
 }
 
-TEST(LandmarkSet, MeasureManyMatchesScalarMeasure) {
-  Fixture f(23);
-  util::Rng rng(24);
-  const LandmarkSet set = LandmarkSet::choose_random(f.topology, 9, rng, {});
-  std::vector<net::HostId> hosts;
-  for (net::HostId h = 0; h < f.topology.host_count(); h += 3)
-    hosts.push_back(h);
-
-  f.oracle->reset_probe_count();
-  std::vector<LandmarkVector> bulk(hosts.size());
-  std::vector<double> column;
-  set.measure_many(*f.oracle, hosts, bulk, column);
-  const std::uint64_t bulk_probes = f.oracle->probe_count();
-
-  f.oracle->reset_probe_count();
-  for (std::size_t i = 0; i < hosts.size(); ++i)
-    ASSERT_EQ(bulk[i], set.measure(*f.oracle, hosts[i])) << hosts[i];
-  EXPECT_EQ(bulk_probes, f.oracle->probe_count());
-}
-
 TEST(LandmarkSet, LandmarkNumbersMatchScalarDerivation) {
   Fixture f(25);
   util::Rng rng(26);
@@ -213,16 +193,11 @@ TEST(LandmarkSet, LandmarkNumbersMatchScalarDerivation) {
     for (net::HostId h = 0; h < 40; h += 4)
       vectors.push_back(set.measure(*f.oracle, h));
 
-    std::vector<util::BigUint> bulk(vectors.size());
-    std::vector<std::uint32_t> arena;
-    set.landmark_numbers(vectors, arena, bulk);
     std::vector<std::uint32_t> scratch(
         static_cast<std::size_t>(set.number_dims()));
-    for (std::size_t i = 0; i < vectors.size(); ++i) {
-      const util::BigUint scalar = set.landmark_number(vectors[i]);
-      EXPECT_EQ(bulk[i], scalar);
-      EXPECT_EQ(set.landmark_number(vectors[i], scratch), scalar);
-    }
+    for (std::size_t i = 0; i < vectors.size(); ++i)
+      EXPECT_EQ(set.landmark_number(vectors[i], scratch),
+                set.landmark_number(vectors[i]));
   }
 }
 

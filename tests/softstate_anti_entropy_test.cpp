@@ -199,7 +199,11 @@ TEST(AntiEntropy, EngineRepairsLossDivergence) {
   Fixture f(14, 96, replicated_config(3));
   // One lossy publish round: ~30% of the replica copies go missing, so
   // the per-map views disagree.
-  f.maps->inject_faults(0.3, 99);
+  sim::FaultConfig lossy;
+  lossy.publish_loss = 0.3;
+  lossy.seed = 99;
+  sim::FaultPlane loss(lossy);
+  f.maps->set_fault_plane(&loss);
   f.publish_all(0.0);
   const auto before =
       softstate::measure_replica_divergence(*f.maps, *f.ecan, 1.0);

@@ -20,6 +20,14 @@ net::Topology make_topology(std::uint64_t seed) {
   return t;
 }
 
+/// A fault plane that loses `publish_loss` of all publish messages.
+sim::FaultPlane publish_loss_plane(double publish_loss, std::uint64_t seed) {
+  sim::FaultConfig config;
+  config.publish_loss = publish_loss;
+  config.seed = seed;
+  return sim::FaultPlane(config);
+}
+
 struct Fixture {
   net::Topology topology;
   std::unique_ptr<net::RttOracle> oracle;
@@ -58,7 +66,8 @@ struct Fixture {
 
 TEST(FaultInjection, LossDropsSomePublishes) {
   Fixture f(1);
-  f.maps->inject_faults(0.3, 99);
+  sim::FaultPlane loss = publish_loss_plane(0.3, 99);
+  f.maps->set_fault_plane(&loss);
   for (const auto id : f.nodes) f.maps->publish(id, f.vectors[id], 0.0);
   EXPECT_GT(f.maps->stats().lost_messages, 0u);
   EXPECT_LT(f.maps->total_entries(), f.expected_entries());
@@ -72,7 +81,8 @@ TEST(FaultInjection, LossDropsSomePublishes) {
 
 TEST(FaultInjection, RepublishRoundsConverge) {
   Fixture f(2);
-  f.maps->inject_faults(0.3, 77);
+  sim::FaultPlane loss = publish_loss_plane(0.3, 77);
+  f.maps->set_fault_plane(&loss);
   // Round 1 loses ~30%; each further round refills independently-lost
   // slots (an entry survives if ANY round delivered it within TTL).
   for (int round = 0; round < 6; ++round)
@@ -84,7 +94,8 @@ TEST(FaultInjection, RepublishRoundsConverge) {
 
 TEST(FaultInjection, ZeroLossIsLossless) {
   Fixture f(3);
-  f.maps->inject_faults(0.0, 1);
+  sim::FaultPlane loss = publish_loss_plane(0.0, 1);
+  f.maps->set_fault_plane(&loss);
   for (const auto id : f.nodes) f.maps->publish(id, f.vectors[id], 0.0);
   EXPECT_EQ(f.maps->stats().lost_messages, 0u);
   EXPECT_EQ(f.maps->total_entries(), f.expected_entries());
@@ -92,7 +103,8 @@ TEST(FaultInjection, ZeroLossIsLossless) {
 
 TEST(FaultInjection, LookupsDegradeGracefullyUnderLoss) {
   Fixture f(4, 160);
-  f.maps->inject_faults(0.5, 5);
+  sim::FaultPlane loss = publish_loss_plane(0.5, 5);
+  f.maps->set_fault_plane(&loss);
   for (const auto id : f.nodes) f.maps->publish(id, f.vectors[id], 0.0);
   // Even with half the records missing, lookups return candidates (ring
   // expansion widens the search) and never crash.
@@ -118,8 +130,10 @@ TEST(FaultInjection, EndToEndSystemSurvivesLossyNetwork) {
   config.rtt_budget = 8;
   config.map.ttl_ms = 5'000.0;
   config.republish_interval_ms = 1'000.0;
+  // Declared before the system so it outlives every message path.
+  sim::FaultPlane loss = publish_loss_plane(0.25, 123);
   core::SoftStateOverlay system(topology, config);
-  system.maps().inject_faults(0.25, 123);
+  system.maps().set_fault_plane(&loss);
 
   util::Rng rng(60);
   std::vector<overlay::NodeId> nodes;
@@ -139,11 +153,12 @@ TEST(FaultInjection, EndToEndSystemSurvivesLossyNetwork) {
 
 TEST(FaultInjection, InjectFaultsShimRoutesThroughFaultPlane) {
   Fixture f(12);
-  f.maps->inject_faults(0.3, 99);
-  ASSERT_NE(f.maps->fault_plane(), nullptr);
+  sim::FaultPlane loss = publish_loss_plane(0.3, 99);
+  f.maps->set_fault_plane(&loss);
+  ASSERT_EQ(f.maps->fault_plane(), &loss);
   EXPECT_TRUE(f.maps->fault_plane()->active());
   for (const auto id : f.nodes) f.maps->publish(id, f.vectors[id], 0.0);
-  // The legacy knob is a thin shim over the plane: the service's loss
+  // Injected publish loss is the plane's own verdict: the service's loss
   // counter and the plane's are the same number.
   EXPECT_GT(f.maps->stats().lost_messages, 0u);
   EXPECT_EQ(f.maps->stats().lost_messages, f.maps->fault_plane()->stats().lost);

@@ -3,13 +3,8 @@
 // sequences, for all three backend trait sets (eCAN, Chord, Pastry) —
 // same upsert outcomes, same erase/expiry counts, same group contents.
 // The indexed structural invariants (hash index, per-node chains, ordered
-// slot list, expiry heap) are re-checked throughout.
-//
-// The second half drives the full map service twins (MapService over the
-// indexed store and fast router vs LegacyLinearMapService over the linear
-// store and reference router) through identical publish/lookup/expiry/
-// churn schedules and requires byte-identical lookup results and stats —
-// the equivalence bench/scale_sweep.cpp's speedup numbers rest on.
+// slot list, expiry heap) are re-checked throughout. The map service
+// built on top is pinned by tests/golden_digest_test.cpp.
 #include "softstate/indexed_store.hpp"
 
 #include <algorithm>
@@ -257,145 +252,6 @@ TEST(IndexedStore, RefreshChurnKeepsHeapBounded) {
     ASSERT_TRUE(store.check_index_invariants());
   }
   EXPECT_EQ(store.size(), 4u);
-}
-
-// ---------------------------------------------------------------------
-// Full service twins: MapService vs LegacyLinearMapService
-// ---------------------------------------------------------------------
-
-struct TwinFixture {
-  net::Topology topology;
-  std::unique_ptr<net::RttOracle> oracle;
-  std::unique_ptr<proximity::LandmarkSet> landmarks;
-  std::unique_ptr<overlay::EcanNetwork> ecan;
-  std::unique_ptr<MapService> indexed;
-  std::unique_ptr<LegacyLinearMapService> reference;
-  std::vector<overlay::NodeId> nodes;
-  std::vector<proximity::LandmarkVector> vectors;
-  std::vector<util::BigUint> numbers;
-
-  explicit TwinFixture(std::uint64_t seed, std::size_t overlay_nodes = 160) {
-    util::Rng rng(seed);
-    topology = net::generate_transit_stub(net::tsk_tiny(), rng);
-    net::assign_latencies(topology, net::LatencyModel::kManual, rng);
-    oracle = std::make_unique<net::RttOracle>(topology);
-    landmarks = std::make_unique<proximity::LandmarkSet>(
-        proximity::LandmarkSet::choose_random(topology, 8, rng, {}));
-    ecan = std::make_unique<overlay::EcanNetwork>(2);
-    for (std::size_t i = 0; i < overlay_nodes; ++i) {
-      const auto host =
-          static_cast<net::HostId>(rng.next_u64(topology.host_count()));
-      nodes.push_back(ecan->join_random(host, rng));
-    }
-    MapConfig config;
-    indexed = std::make_unique<MapService>(*ecan, *landmarks, config);
-    MapConfig reference_config = config;
-    reference_config.use_reference_router = true;
-    reference = std::make_unique<LegacyLinearMapService>(*ecan, *landmarks,
-                                                         reference_config);
-    vectors.resize(ecan->slot_count());
-    numbers.resize(ecan->slot_count());
-    for (const auto id : nodes) {
-      vectors[id] = landmarks->measure(*oracle, ecan->node(id).host);
-      numbers[id] = landmarks->landmark_number(vectors[id]);
-    }
-  }
-
-  void publish_all(sim::Time now) {
-    for (const auto id : nodes) {
-      indexed->publish(id, vectors[id], numbers[id], now);
-      reference->publish(id, vectors[id], now);
-    }
-  }
-};
-
-void expect_entries_equal(const std::vector<MapEntry>& a,
-                          const std::vector<MapEntry>& b) {
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    ASSERT_EQ(a[i].node, b[i].node) << "rank " << i;
-    ASSERT_EQ(a[i].host, b[i].host);
-    ASSERT_EQ(a[i].vector, b[i].vector);
-    ASSERT_EQ(a[i].published_at, b[i].published_at);
-    ASSERT_EQ(a[i].expires_at, b[i].expires_at);
-  }
-}
-
-TEST(MapServiceTwins, LookupsAndStatsIdentical) {
-  TwinFixture f(101);
-  f.publish_all(0.0);
-  ASSERT_EQ(f.indexed->total_entries(), f.reference->total_entries());
-  ASSERT_EQ(f.indexed->hosting_owner_count(),
-            f.reference->hosting_owner_count());
-  ASSERT_EQ(f.indexed->max_entries_per_node(),
-            f.reference->max_entries_per_node());
-
-  util::Rng rng(202);
-  std::vector<MapEntry> buffer;
-  std::vector<std::uint32_t> cell(2);
-  for (int q = 0; q < 600; ++q) {
-    const auto querier = f.nodes[rng.next_u64(f.nodes.size())];
-    const int levels = f.ecan->node_level(querier);
-    if (levels < 1) continue;
-    const int level =
-        1 + static_cast<int>(rng.next_u64(static_cast<std::uint64_t>(levels)));
-    f.ecan->cell_of_node_into(querier, level, cell);
-
-    LookupResult meta_fast;
-    LookupResult meta_ref;
-    const std::size_t count = f.indexed->lookup_entries_into(
-        querier, f.vectors[querier], f.numbers[querier], level, cell, 100.0,
-        buffer, &meta_fast);
-    const auto reference_entries = f.reference->lookup_entries(
-        querier, f.vectors[querier], level, cell, 100.0, &meta_ref);
-
-    std::vector<MapEntry> fast_entries(buffer.begin(),
-                                       buffer.begin() + count);
-    expect_entries_equal(fast_entries, reference_entries);
-    ASSERT_EQ(meta_fast.owner, meta_ref.owner) << "query " << q;
-    ASSERT_EQ(meta_fast.route_hops, meta_ref.route_hops);
-    ASSERT_EQ(meta_fast.pieces_visited, meta_ref.pieces_visited);
-  }
-
-  // Every counter the two services kept must agree (hops, expiry...).
-  EXPECT_EQ(f.indexed->stats().publishes, f.reference->stats().publishes);
-  EXPECT_EQ(f.indexed->stats().lookups, f.reference->stats().lookups);
-  EXPECT_EQ(f.indexed->stats().route_hops, f.reference->stats().route_hops);
-  EXPECT_EQ(f.indexed->stats().expired_entries,
-            f.reference->stats().expired_entries);
-  EXPECT_EQ(f.indexed->stats().failed_routes,
-            f.reference->stats().failed_routes);
-}
-
-TEST(MapServiceTwins, ExpiryAndChurnStayIdentical) {
-  TwinFixture f(303);
-  f.publish_all(0.0);
-
-  // Republish half the nodes later: refresh path on both services.
-  util::Rng rng(404);
-  for (const auto id : f.nodes)
-    if (rng.next_bool(0.5)) {
-      f.indexed->publish(id, f.vectors[id], f.numbers[id], 30'000.0);
-      f.reference->publish(id, f.vectors[id], 30'000.0);
-    }
-  ASSERT_EQ(f.indexed->total_entries(), f.reference->total_entries());
-
-  // First-wave records expire, refreshed ones survive.
-  ASSERT_EQ(f.indexed->expire_before(70'000.0),
-            f.reference->expire_before(70'000.0));
-  ASSERT_EQ(f.indexed->total_entries(), f.reference->total_entries());
-  EXPECT_TRUE(f.indexed->check_placement_invariant());
-  EXPECT_TRUE(f.reference->check_placement_invariant());
-
-  // Lazy deletion and proactive removal agree store-for-store.
-  for (int i = 0; i < 20; ++i) {
-    const auto victim = f.nodes[rng.next_u64(f.nodes.size())];
-    f.indexed->remove_everywhere(victim);
-    f.reference->remove_everywhere(victim);
-  }
-  ASSERT_EQ(f.indexed->total_entries(), f.reference->total_entries());
-  for (const auto id : f.nodes)
-    ASSERT_EQ(f.indexed->store_size(id), f.reference->store_size(id));
 }
 
 }  // namespace

@@ -387,7 +387,11 @@ TEST(MapService, FailedRoutesDistinctFromInjectedLoss) {
   EXPECT_EQ(f.maps->stats().failed_routes, 0u);  // healthy overlay
 
   f.maps->reset_stats();
-  f.maps->inject_faults(/*publish_loss=*/1.0, /*seed=*/7);
+  sim::FaultConfig lossy;
+  lossy.publish_loss = 1.0;
+  lossy.seed = 7;
+  sim::FaultPlane loss(lossy);
+  f.maps->set_fault_plane(&loss);
   f.maps->publish(f.nodes[0], f.vectors[f.nodes[0]], 0.0);
   EXPECT_GT(f.maps->stats().lost_messages, 0u);
   // Injected loss is not routing loss.

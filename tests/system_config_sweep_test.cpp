@@ -39,8 +39,13 @@ TEST_P(SystemConfigSweep, ChurnStaysConsistentAndDelivers) {
   config.map.ttl_ms = p.ttl_ms;
   config.republish_interval_ms = p.republish_ms;
   config.load_weight = p.load_weight;
+  // Declared before the system so it outlives every message path.
+  sim::FaultConfig lossy;
+  lossy.publish_loss = p.publish_loss;
+  lossy.seed = 7;
+  sim::FaultPlane loss(lossy);
   SoftStateOverlay system(topology, config);
-  if (p.publish_loss > 0.0) system.maps().inject_faults(p.publish_loss, 7);
+  if (p.publish_loss > 0.0) system.maps().set_fault_plane(&loss);
 
   util::Rng rng(17);
   std::vector<overlay::NodeId> live;

@@ -132,34 +132,6 @@ TEST(TrafficSystem, JoinPublishesProbedLoad) {
   EXPECT_GT(records, 0u);
 }
 
-TEST(TrafficSystem, JoinManyPublishesProbedLoadIdenticallyToScalar) {
-  const net::Topology t = make_topology(3);
-  const auto hosts = random_hosts(t, 48, 200);
-
-  SystemConfig config = small_config();
-  SoftStateOverlay scalar(t, config);
-  SoftStateOverlay batched(t, config);
-  const auto probe = [](overlay::NodeId id) {
-    return 0.1 * static_cast<double>(id % 7);
-  };
-  scalar.set_load_probe(probe);
-  batched.set_load_probe(probe);
-
-  std::vector<overlay::NodeId> nodes_scalar;
-  for (const auto host : hosts) nodes_scalar.push_back(scalar.join(host));
-  const auto nodes_batched = batched.join_many(hosts);
-
-  EXPECT_EQ(nodes_scalar, nodes_batched);
-  EXPECT_EQ(map_state(scalar), map_state(batched));
-  bool saw_nonzero = false;
-  batched.maps().for_each_entry(
-      [&](overlay::NodeId, const softstate::StoredEntry& stored) {
-        EXPECT_DOUBLE_EQ(stored.entry.load, probe(stored.entry.node));
-        if (stored.entry.load > 0.0) saw_nonzero = true;
-      });
-  EXPECT_TRUE(saw_nonzero);
-}
-
 TEST(TrafficSystem, TrafficUtilizationIsTheDefaultLoadProbe) {
   const net::Topology t = make_topology(4);
   SystemConfig config = small_config();

@@ -6,12 +6,14 @@ Usage: tools/perf_diff.py CANDIDATE [BASELINE]
 The artifact kind is read from the candidate's `bench` field:
 
 join_sweep — BASELINE defaults to bench/trajectory/BENCH_join.json. Rows
-match by overlay size n; the batched-leg join throughput must stay within
-JOIN_TOLERANCE of the baseline, and every matched candidate row must
-report `equivalent: true` — a faster wave that lands in a different final
-state is a bug, not a win. Absolute joins/s moves with the machine, so
-the gate is deliberately loose (10%); regenerate the baseline on a quiet
-machine via
+match by overlay size n; the scalar-leg join throughput must stay within
+JOIN_TOLERANCE of the baseline's scalar figure. When seed and host count
+match the baseline, the simulated state the joins leave behind (map
+entries, subscriptions, notifications, route hops, probes) must equal the
+baseline's exactly — a faster join that lands in a different final state
+is a bug, not a win. Absolute joins/s moves with the machine, so the
+throughput gate is deliberately loose (10%); regenerate the baseline on a
+quiet machine via
   JOIN_NODES=1000,10000 BENCH_JSON=bench/trajectory/BENCH_join.json \
       build/bench/join_sweep
 
@@ -91,7 +93,13 @@ def load(path):
     return doc
 
 
+JOIN_STATE_FIELDS = ("map_entries", "subscriptions", "notifications",
+                     "route_hops", "probes")
+
+
 def diff_join(candidate, baseline):
+    same_world = all(candidate.get(knob) == baseline.get(knob)
+                     for knob in ("seed", "host_count"))
     cand_rows = {row["n"]: row for row in candidate["results"]}
     base_rows = {row["n"]: row for row in baseline["results"]}
 
@@ -102,18 +110,24 @@ def diff_join(candidate, baseline):
         if cand_row is None:
             continue  # smoke runs cover a subset of the baseline sizes
         compared += 1
-        if not cand_row.get("equivalent", False):
-            failures.append(f"n={n}: batched join diverged from scalar state")
-            continue
-        base = base_row["batch"]["join_per_s"]
-        cand = cand_row["batch"]["join_per_s"]
+        cand_leg = cand_row["scalar"]
+        base_leg = base_row["scalar"]
+        if same_world:
+            moved = [field for field in JOIN_STATE_FIELDS
+                     if cand_leg[field] != base_leg[field]]
+            if moved:
+                failures.append(
+                    f"n={n}: join state differs from baseline in "
+                    + ", ".join(moved))
+        base = base_leg["join_per_s"]
+        cand = cand_leg["join_per_s"]
         ratio = cand / base if base > 0 else 0.0
         verdict = "ok" if ratio >= 1.0 - JOIN_TOLERANCE else "REGRESSION"
-        print(f"n={n}: batch {cand:.0f} joins/s vs baseline {base:.0f} "
+        print(f"n={n}: scalar {cand:.0f} joins/s vs baseline {base:.0f} "
               f"({ratio:.2f}x) {verdict}")
         if verdict != "ok":
             failures.append(
-                f"n={n}: batch throughput {ratio:.2f}x of baseline "
+                f"n={n}: scalar throughput {ratio:.2f}x of baseline "
                 f"(floor {1.0 - JOIN_TOLERANCE:.2f}x)")
 
     if compared == 0:

@@ -59,7 +59,7 @@ fi
 
 # join_sweep likewise: 1k joins unless the caller scaled it. The full run
 # (FULL=1 or explicit JOIN_NODES) also covers the committed 10k trajectory
-# point, which takes minutes because of the seed-reference leg.
+# point.
 if [ -z "${JOIN_NODES:-}" ] && [ -z "${FULL:-}" ]; then
   JOIN_NODES=1000
   export JOIN_NODES
@@ -98,8 +98,8 @@ for json in "$SCRATCH"/BENCH_*.json; do
   [ -e "$json" ] && cp "$json" "$OUT/"
 done
 
-# Gate the batched join path against the committed trajectory point: a
-# >10% throughput regression (or an equivalence failure) fails the run.
+# Gate the scalar join path against the committed trajectory point: a
+# >10% throughput regression (or a moved join state) fails the run.
 if [ -e "$OUT/BENCH_join.json" ] && [ -e bench/trajectory/BENCH_join.json ]; then
   python3 tools/perf_diff.py "$OUT/BENCH_join.json"
 fi
